@@ -49,7 +49,7 @@ func main() {
 		scale    = flag.Int("scale", 0, "footprint scale shift")
 		period   = flag.Int("period", 4096, "IBS op period (4x-rate scaled default)")
 		useEmul  = flag.Bool("emul", false, "apply the BadgerTrap emulation cost model (10us/13us/50us)")
-		txmig    = flag.Bool("txmig", false, "transactional migration engine: multi-phase copy-while-mapped transactions that abort on mid-copy writes, plus zero-copy shadow demotions (see ROBUSTNESS.md)")
+		txmig    = flag.Bool("txmig", false, "transactional migration engine: multi-phase copy-while-mapped transactions, plus zero-copy shadow demotions; a transaction aborts only when the mem.copyabort fault site fires (see ROBUSTNESS.md)")
 		admfrac  = flag.Float64("admission", 0, "bandwidth admission control: fraction of each epoch's simulated time migrations may spend on line traffic (0 disables; denied migrations defer or reject deterministically)")
 		faults   = flag.String("faults", "", "fault-injection spec, e.g. 'ibs.drop=0.05,mem.enomem=0.2' or 'all=0.1' (see ROBUSTNESS.md); same seed + same spec reproduces the run byte-for-byte")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool width for the baseline/placement arms (1 = sequential; output is identical)")

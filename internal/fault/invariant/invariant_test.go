@@ -138,15 +138,18 @@ func TestCheckCatchesDescriptorMismatch(t *testing.T) {
 
 func TestCheckCatchesMoverMiscount(t *testing.T) {
 	phys, tables := buildMapped(t, 8)
-	mv := &policy.Mover{Failed: 3, FailedPinned: 1} // 3 != 1
+	mv := &policy.Mover{MoverStats: policy.MoverStats{Failed: 3, FailedPinned: 1}} // 3 != 1
 	wantViolation(t, New().Check(phys, tables, mv), "mover-accounting")
 }
 
 func TestCheckMoverCleanCounters(t *testing.T) {
 	phys, tables := buildMapped(t, 8)
 	mv := &policy.Mover{
-		Failed: 4, FailedCapacity: 1, FailedPinned: 2, FailedSplit: 1,
-		Retried: 3, RetrySucceeded: 2, RetryQueueCap: 8,
+		MoverStats: policy.MoverStats{
+			Failed: 4, FailedCapacity: 1, FailedPinned: 2, FailedSplit: 1,
+			Retried: 3, RetrySucceeded: 2,
+		},
+		RetryQueueCap: 8,
 	}
 	if err := New().Check(phys, tables, mv); err != nil {
 		t.Fatalf("consistent mover counters flagged: %v", err)

@@ -44,9 +44,6 @@ func AdmissionBudgetNS(epochNS int64, frac float64) int64 {
 	return int64(frac * float64(epochNS))
 }
 
-// admissionGated reports whether the admission controller is active.
-func (mv *Mover) admissionGated() bool { return mv.AdmissionBudgetNS > 0 }
-
 // migrationCostNS prices one proposed migration. A page already in the
 // target tier, or one whose demotion can adopt a valid shadow copy, is
 // free; a vanished mapping is also free (the migrate attempt will
@@ -78,7 +75,7 @@ func (mv *Mover) migrationCostNS(key core.PageKey, target mem.TierID) int64 {
 // first in the epoch (and their deferrals replay first from the retry
 // queue), so a shared pool would let a demotion backlog starve
 // promotions — the demand-driven direction — indefinitely. Only called
-// when admissionGated().
+// with a positive AdmissionBudgetNS.
 func (mv *Mover) admit(promote bool, cost int64) bool {
 	half := mv.AdmissionBudgetNS / 2
 	spent := &mv.admSpentDemote
@@ -97,28 +94,29 @@ func (mv *Mover) admit(promote bool, cost int64) bool {
 	return true
 }
 
-// deferAdmission parks an admission-denied migration in the retry
-// queue for the next epoch. Unlike a failure deferral it burns no
+// admissionDenied prices a proposed migration and charges it against
+// the epoch's budget. When the budget cannot cover it, the migration
+// is parked in the retry queue for the next epoch and admissionDenied
+// reports true. Unlike a failure deferral the parked entry burns no
 // retry attempt and backs off exactly one epoch: the page did nothing
-// wrong, the bus was busy. A full queue rejects the migration
-// outright — a contended epoch must not hoard an unbounded backlog.
-func (mv *Mover) deferAdmission(key core.PageKey, promote bool, attempts int, firstFail uint64) {
-	if len(mv.retries) >= mv.RetryQueueCap {
-		if promote {
-			mv.RejectedPromotions++
-		} else {
-			mv.RejectedDemotions++
-		}
-		mv.prov.NoteRejectedAdmission(key)
-		return
+// wrong, the bus was busy. A full queue rejects the migration outright
+// — a contended epoch must not hoard an unbounded backlog. Without an
+// admission budget nothing is priced and everything passes.
+func (mv *Mover) admissionDenied(key core.PageKey, promote bool, target mem.TierID, attempts int, firstFail uint64) bool {
+	if mv.AdmissionBudgetNS <= 0 || mv.admit(promote, mv.migrationCostNS(key, target)) {
+		return false
 	}
-	mv.DeferredAdmission++
-	mv.retries = append(mv.retries, retryEntry{
-		key:       key,
-		promote:   promote,
-		attempts:  attempts,
-		due:       mv.epoch + 1,
-		firstFail: firstFail,
-	})
-	mv.prov.NoteDeferredAdmission(key)
+	switch {
+	case len(mv.retries) < mv.RetryQueueCap:
+		mv.DeferredAdmission++
+		mv.retries = append(mv.retries, retryEntry{key, promote, attempts, mv.epoch + 1, firstFail})
+		mv.prov.NoteDeferredAdmission(key)
+	case promote:
+		mv.RejectedPromotions++
+		mv.prov.NoteRejectedAdmission(key)
+	default:
+		mv.RejectedDemotions++
+		mv.prov.NoteRejectedAdmission(key)
+	}
+	return true
 }

@@ -9,7 +9,6 @@ import (
 	"tieredmem/internal/cpu"
 	"tieredmem/internal/fault"
 	"tieredmem/internal/mem"
-	"tieredmem/internal/pagetable"
 	"tieredmem/internal/provenance"
 	"tieredmem/internal/telemetry"
 )
@@ -61,11 +60,12 @@ type Mover struct {
 	RetryQueueCap int
 	// Transactional switches migrate to the multi-phase transaction
 	// engine (claim → copy-while-mapped → verify-clean → remap), with
-	// dirty-copy aborts re-queued through the retry queue and the
-	// vacated frame of a promotion kept as a non-exclusive shadow copy
-	// (see ROBUSTNESS.md "The migration transaction"). Off by default:
-	// the legacy single-phase path is byte-identical to pre-engine
-	// movers.
+	// the vacated frame of a promotion kept as a non-exclusive shadow
+	// copy (see ROBUSTNESS.md "The migration transaction"). The
+	// verify-clean step aborts only when the mem.copyabort fault site
+	// fires — stores retiring during the copy are not modeled — and
+	// aborts re-queue through the retry queue. Off by default: the
+	// single-phase path is byte-identical to pre-engine movers.
 	Transactional bool
 	// AdmissionBudgetNS, when positive, gates the migration stream: an
 	// epoch may spend at most this much simulated migration bandwidth
@@ -75,54 +75,13 @@ type Mover struct {
 	// everything without drawing or counting.
 	AdmissionBudgetNS int64
 
-	// Stats.
-	Promotions uint64
-	Demotions  uint64
+	MoverStats
 	Splits     uint64 // THP splits forced by partial-huge migrations
 	Shootdowns uint64
 	OverheadNS int64
-	// Failed aggregates every migration failure; the per-reason
-	// counters below partition it (Failed = Capacity + Pinned +
-	// Vanished + Split + AbortedDirty).
-	Failed         uint64
-	FailedCapacity uint64 // target tier had no frame (mem.ErrTierFull)
-	FailedPinned   uint64 // page transiently pinned (mem.ErrPinned)
-	FailedVanished uint64 // mapping gone mid-flight (mem.ErrUnmapped)
-	FailedSplit    uint64 // THP split failed (ErrSplitFailed)
-	// Retry-queue accounting. Retried counts re-attempts drained from
-	// the queue; RetrySucceeded the ones that completed;
-	// RetrySuperseded entries dropped because the selection reversed
-	// direction before the retry came due; RetryDropped entries
-	// abandoned at the attempt cap or queue bound.
-	Retried         uint64
-	RetrySucceeded  uint64
-	RetrySuperseded uint64
-	RetryDropped    uint64
-	// Transaction accounting (Transactional mode only). Every claimed
-	// transaction resolves exactly one way:
-	// TxStarted = TxCommitted + AbortedDirty + TxRemapFailed.
-	TxStarted    uint64
-	TxCommitted  uint64
-	AbortedDirty uint64 // verify-clean found the page written mid-copy
 	// TxRemapFailed: the mapping vanished between claim and remap;
 	// counted under FailedVanished in the failure partition.
 	TxRemapFailed uint64
-	// Shadow-copy accounting: ShadowHits are demotions satisfied by
-	// remapping to a still-valid shadow (zero copy work); ShadowStale
-	// counts adoptions abandoned because the fault plane invalidated
-	// the shadow at the last moment (the demotion then pays the full
-	// copy path).
-	ShadowHits  uint64
-	ShadowStale uint64
-	// Admission accounting (AdmissionBudgetNS > 0 only). Admitted* are
-	// migrations charged against the epoch budget; DeferredAdmission
-	// were pushed to the retry queue for the next epoch; Rejected* were
-	// dropped because the queue was full too.
-	AdmittedPromotions uint64
-	AdmittedDemotions  uint64
-	DeferredAdmission  uint64
-	RejectedPromotions uint64
-	RejectedDemotions  uint64
 
 	epoch   uint64
 	retries []retryEntry
@@ -143,31 +102,13 @@ type Mover struct {
 	// inter-arrival histogram.
 	lastMigNS int64
 
-	// Telemetry (nil handles no-op when telemetry is off).
+	// Telemetry (nil handles no-op when telemetry is off). ctrStats
+	// holds one counter per moverMetrics entry, in table order.
 	tel          *telemetry.Tracer
-	ctrPromote   *telemetry.Counter
-	ctrDemote    *telemetry.Counter
+	ctrStats     [len(moverMetrics)]*telemetry.Counter
 	ctrSplits    *telemetry.Counter
 	ctrShootdown *telemetry.Counter
-	ctrFailed    *telemetry.Counter
-	ctrFailCap   *telemetry.Counter
-	ctrFailPin   *telemetry.Counter
-	ctrFailVan   *telemetry.Counter
-	ctrFailSplit *telemetry.Counter
-	ctrRetried   *telemetry.Counter
-	ctrRetryOK   *telemetry.Counter
-	ctrRetryDrop *telemetry.Counter
 	ctrOverhead  *telemetry.Counter
-	ctrTxStart   *telemetry.Counter
-	ctrTxCommit  *telemetry.Counter
-	ctrTxAbort   *telemetry.Counter
-	ctrShadowHit *telemetry.Counter
-	ctrShadowSta *telemetry.Counter
-	ctrAdmProm   *telemetry.Counter
-	ctrAdmDem    *telemetry.Counter
-	ctrAdmDefer  *telemetry.Counter
-	ctrRejProm   *telemetry.Counter
-	ctrRejDem    *telemetry.Counter
 	histRetryLat *telemetry.Histogram
 	histInter    *telemetry.Histogram
 }
@@ -192,29 +133,12 @@ type retryEntry struct {
 // unchanged.
 func (mv *Mover) SetTracer(t *telemetry.Tracer) {
 	mv.tel = t
-	mv.ctrPromote = t.Counter("mover/promotions")
-	mv.ctrDemote = t.Counter("mover/demotions")
+	for i, m := range moverMetrics {
+		mv.ctrStats[i] = t.Counter(moverMetricName(m))
+	}
 	mv.ctrSplits = t.Counter("mover/splits")
 	mv.ctrShootdown = t.Counter("mover/shootdowns")
-	mv.ctrFailed = t.Counter("mover/failed")
-	mv.ctrFailCap = t.Counter("mover/failed_capacity")
-	mv.ctrFailPin = t.Counter("mover/failed_pinned")
-	mv.ctrFailVan = t.Counter("mover/failed_vanished")
-	mv.ctrFailSplit = t.Counter("mover/failed_split")
-	mv.ctrRetried = t.Counter("mover/retries")
-	mv.ctrRetryOK = t.Counter("mover/retry_succeeded")
-	mv.ctrRetryDrop = t.Counter("mover/retry_dropped")
 	mv.ctrOverhead = t.Counter("mover/overhead_ns")
-	mv.ctrTxStart = t.Counter("mover/tx_started")
-	mv.ctrTxCommit = t.Counter("mover/tx_committed")
-	mv.ctrTxAbort = t.Counter("mover/aborted_dirty")
-	mv.ctrShadowHit = t.Counter("mover/shadow_hits")
-	mv.ctrShadowSta = t.Counter("mover/shadow_stale")
-	mv.ctrAdmProm = t.Counter("mover/admitted_promotions")
-	mv.ctrAdmDem = t.Counter("mover/admitted_demotions")
-	mv.ctrAdmDefer = t.Counter("mover/deferred_admission")
-	mv.ctrRejProm = t.Counter("mover/rejected_promotions")
-	mv.ctrRejDem = t.Counter("mover/rejected_demotions")
 	mv.histRetryLat = t.Histogram("mover/retry_latency_epochs")
 	mv.histInter = t.Histogram("mover/interarrival_ns")
 }
@@ -240,6 +164,27 @@ func (mv *Mover) RetryQueueLen() int { return len(mv.retries) }
 // 2 MiB moves; hot subpages rarely cover a whole huge page, so the
 // mover splits). The caller batches the shootdown. Failures wrap the
 // typed sentinels so callers can branch with errors.Is.
+//
+// One body serves both engines. The page stays mapped for the whole
+// copy, and the move only publishes the new frame at remap:
+//
+//	claim      — allocate the target frame (abort: nothing happened)
+//	copy       — copy content while the page stays mapped; this is
+//	             the work the admission budget prices
+//	verify     — Transactional only: the mem.copyabort fault site
+//	             aborts the copy with ErrCopyAborted and the caller
+//	             re-queues the transaction
+//	remap      — publish the new frame (the batch shootdown makes it
+//	             globally visible at epoch end)
+//	release    — free the source frame; a Transactional promotion
+//	             keeps it as a non-exclusive shadow copy instead, so
+//	             demoting the still-clean page back is a remap with
+//	             zero copy work
+//
+// A Transactional demotion whose page still has a valid shadow in the
+// target tier skips the copy entirely and adopts the shadow (drawing
+// the shadow-stale site first: an invalidated shadow degrades to the
+// full transaction).
 func (mv *Mover) migrate(key core.PageKey, target mem.TierID) error {
 	phys := mv.machine.Phys
 	table, ok := mv.machine.Tables()[key.PID]
@@ -277,65 +222,10 @@ func (mv *Mover) migrate(key core.PageKey, target mem.TierID) error {
 		// Transient elevated refcount (DMA, gup) — the EBUSY case.
 		return fmt.Errorf("policy: page pid=%d vpn=%#x transiently busy: %w", key.PID, uint64(key.VPN), mem.ErrPinned)
 	}
-	if mv.Transactional {
-		return mv.migrateTx(table, key, target, oldPFN)
-	}
-	newPFN, err := phys.AllocIn(target, key.PID, key.VPN)
-	if err != nil {
-		return err
-	}
-	// Preserve accumulated profiling state across the move: hotness
-	// belongs to the logical page, not the frame.
-	newPD := phys.Page(newPFN)
-	newPD.AbitTotal, newPD.TraceTotal = oldPD.AbitTotal, oldPD.TraceTotal
-	newPD.AbitEpoch, newPD.TraceEpoch = oldPD.AbitEpoch, oldPD.TraceEpoch
-	newPD.DevTotal, newPD.DevEpoch = oldPD.DevTotal, oldPD.DevEpoch
-	newPD.TrueTotal, newPD.TrueEpoch = oldPD.TrueTotal, oldPD.TrueEpoch
-	newPD.Flags |= oldPD.Flags & mem.FlagPoisoned
-
-	if !table.Remap(key.VPN, newPFN) {
-		phys.Free(newPFN)
-		return fmt.Errorf("policy: remap failed for pid=%d vpn=%#x: %w", key.PID, uint64(key.VPN), mem.ErrUnmapped)
-	}
-	phys.Free(oldPFN)
-	mv.OverheadNS += mv.machine.SoftCost(mv.CostPerPageNS)
-	return nil
-}
-
-// migrateTx is the transactional migration engine (the Nomad model):
-// the page stays mapped and accessible for the whole copy, and the
-// transaction only publishes the new frame after verifying the copy is
-// still clean. The phases are
-//
-//	claim      — allocate the target frame (abort: nothing happened)
-//	copy       — copy content while the page stays mapped; this is
-//	             the work the admission budget prices
-//	verify     — deterministic dirty-check against the fault plane:
-//	             a page written mid-copy aborts with ErrCopyAborted
-//	             and the caller re-queues the transaction
-//	remap      — publish the new frame (the batch shootdown makes it
-//	             globally visible at epoch end)
-//	release    — free the source frame; a promotion keeps it as a
-//	             non-exclusive shadow copy instead, so demoting the
-//	             still-clean page back is a remap with zero copy work
-//
-// A demotion whose page still has a valid shadow in the target tier
-// skips the copy entirely and adopts the shadow (drawing the
-// shadow-stale site first: an invalidated shadow degrades to the full
-// transaction). The caller has already resolved the mapping, split any
-// huge page, and cleared the pinned checks.
-func (mv *Mover) migrateTx(table *pagetable.Table, key core.PageKey, target mem.TierID, oldPFN mem.PFN) error {
-	phys := mv.machine.Phys
-	oldPD := phys.Page(oldPFN)
 	promote := target < oldPD.Tier
-	if !promote {
+	if mv.Transactional && !promote {
 		if spfn, ok := phys.ShadowFor(oldPFN, target); ok {
-			if mv.faults.StaleShadow() {
-				// The shadow went stale at the worst moment; pay the
-				// full copy below.
-				phys.InvalidateShadowOf(oldPFN)
-				mv.ShadowStale++
-			} else {
+			if !mv.faults.StaleShadow() {
 				if !table.Remap(key.VPN, spfn) {
 					return fmt.Errorf("policy: remap failed for pid=%d vpn=%#x: %w", key.PID, uint64(key.VPN), mem.ErrUnmapped)
 				}
@@ -346,21 +236,29 @@ func (mv *Mover) migrateTx(table *pagetable.Table, key core.PageKey, target mem.
 				// batch shootdown covers the remap.
 				return nil
 			}
+			// The shadow went stale at the worst moment; pay the full
+			// copy below.
+			phys.InvalidateShadowOf(oldPFN)
+			mv.ShadowStale++
 		}
 	}
 	newPFN, err := phys.AllocIn(target, key.PID, key.VPN)
 	if err != nil {
 		return err
 	}
-	mv.TxStarted++
 	// The copy happens (and is paid for) before the dirty-check: an
 	// aborted transaction has burned real bandwidth, which is exactly
 	// why aborts hurt and admission budgets matter.
 	mv.OverheadNS += mv.machine.SoftCost(mv.CostPerPageNS)
-	if mv.faults.DirtyCopy() {
-		phys.Free(newPFN)
-		return fmt.Errorf("policy: page pid=%d vpn=%#x dirtied mid-copy: %w", key.PID, uint64(key.VPN), mem.ErrCopyAborted)
+	if mv.Transactional {
+		mv.TxStarted++
+		if mv.faults.DirtyCopy() {
+			phys.Free(newPFN)
+			return fmt.Errorf("policy: page pid=%d vpn=%#x dirtied mid-copy: %w", key.PID, uint64(key.VPN), mem.ErrCopyAborted)
+		}
 	}
+	// Preserve accumulated profiling state across the move: hotness
+	// belongs to the logical page, not the frame.
 	newPD := phys.Page(newPFN)
 	newPD.AbitTotal, newPD.TraceTotal = oldPD.AbitTotal, oldPD.TraceTotal
 	newPD.AbitEpoch, newPD.TraceEpoch = oldPD.AbitEpoch, oldPD.TraceEpoch
@@ -369,41 +267,20 @@ func (mv *Mover) migrateTx(table *pagetable.Table, key core.PageKey, target mem.
 	newPD.Flags |= oldPD.Flags & mem.FlagPoisoned
 	if !table.Remap(key.VPN, newPFN) {
 		phys.Free(newPFN)
-		mv.TxRemapFailed++
+		if mv.Transactional {
+			mv.TxRemapFailed++
+		}
 		return fmt.Errorf("policy: remap failed for pid=%d vpn=%#x: %w", key.PID, uint64(key.VPN), mem.ErrUnmapped)
 	}
-	mv.TxCommitted++
-	if promote {
-		phys.MakeShadow(oldPFN, newPFN)
-	} else {
-		phys.Free(oldPFN)
+	if mv.Transactional {
+		mv.TxCommitted++
+		if promote {
+			phys.MakeShadow(oldPFN, newPFN)
+			return nil
+		}
 	}
+	phys.Free(oldPFN)
 	return nil
-}
-
-// noteFailure classifies a migration error into the per-reason
-// counters and reports whether it is transient (worth a deferred
-// retry) plus the provenance reason. Unrecognized errors count as
-// vanished: a page we cannot reason about is not worth re-attempting.
-func (mv *Mover) noteFailure(err error) (bool, provenance.FailReason) {
-	mv.Failed++
-	switch {
-	case errors.Is(err, mem.ErrTierFull):
-		mv.FailedCapacity++
-		return true, provenance.FailCapacity
-	case errors.Is(err, mem.ErrPinned):
-		mv.FailedPinned++
-		return true, provenance.FailPinned
-	case errors.Is(err, ErrSplitFailed):
-		mv.FailedSplit++
-		return true, provenance.FailSplit
-	case errors.Is(err, mem.ErrCopyAborted):
-		mv.AbortedDirty++
-		return true, provenance.FailCopyAbort
-	default:
-		mv.FailedVanished++
-		return false, provenance.FailVanished
-	}
 }
 
 // deferRetry queues a transiently failed migration for a later epoch
@@ -416,13 +293,7 @@ func (mv *Mover) deferRetry(key core.PageKey, promote bool, attempts int, firstF
 		mv.RetryDropped++
 		return false
 	}
-	mv.retries = append(mv.retries, retryEntry{
-		key:       key,
-		promote:   promote,
-		attempts:  attempts,
-		due:       mv.epoch + 1<<uint(attempts-1),
-		firstFail: firstFail,
-	})
+	mv.retries = append(mv.retries, retryEntry{key, promote, attempts, mv.epoch + 1<<uint(attempts-1), firstFail})
 	return true
 }
 
@@ -440,14 +311,56 @@ func (mv *Mover) noteSuccess(key core.PageKey, promote bool, to mem.TierID) {
 	mv.prov.NoteMove(key, promote, to)
 }
 
-// failAndMaybeRetry routes one failed migration through counter
-// classification, the deferred-retry queue, and the flight recorder.
+// failAndMaybeRetry routes one failed migration through the
+// per-reason counters, the flight recorder, and — when the failure is
+// transient — the deferred-retry queue. Unrecognized errors count as
+// vanished: a page we cannot reason about is not worth re-attempting.
 func (mv *Mover) failAndMaybeRetry(key core.PageKey, promote bool, err error, attempts int, firstFail uint64) {
-	transient, reason := mv.noteFailure(err)
+	mv.Failed++
+	transient, reason := true, provenance.FailVanished
+	switch {
+	case errors.Is(err, mem.ErrTierFull):
+		mv.FailedCapacity++
+		reason = provenance.FailCapacity
+	case errors.Is(err, mem.ErrPinned):
+		mv.FailedPinned++
+		reason = provenance.FailPinned
+	case errors.Is(err, ErrSplitFailed):
+		mv.FailedSplit++
+		reason = provenance.FailSplit
+	case errors.Is(err, mem.ErrCopyAborted):
+		mv.AbortedDirty++
+		reason = provenance.FailCopyAbort
+	default:
+		mv.FailedVanished++
+		transient = false
+	}
 	mv.prov.NoteFail(key, reason)
 	if transient && mv.deferRetry(key, promote, attempts, firstFail) {
 		mv.prov.NoteDeferred(key)
 	}
+}
+
+// tryMove makes one fresh (not retried) migration attempt of key to
+// target through admission control, a promotion's free-frame check,
+// and migrate, routing a denial or failure to the retry queue. It
+// reports whether the page moved.
+func (mv *Mover) tryMove(key core.PageKey, promote bool, target mem.TierID) bool {
+	if mv.admissionDenied(key, promote, target, 0, mv.epoch) {
+		return false
+	}
+	if promote && mv.machine.Phys.FreeFrames(target) == 0 {
+		// Fail fast: a promotion into a full tier would only draw
+		// fault sites and split huge pages on its way to ErrTierFull.
+		mv.failAndMaybeRetry(key, true, mem.ErrTierFull, 1, mv.epoch)
+		return false
+	}
+	if err := mv.migrate(key, target); err != nil {
+		mv.failAndMaybeRetry(key, promote, err, 1, mv.epoch)
+		return false
+	}
+	mv.noteSuccess(key, promote, target)
+	return true
 }
 
 // demoteCand is one demotion candidate with its rank precomputed at
@@ -470,16 +383,12 @@ func (mv *Mover) retryTarget(key core.PageKey, promote bool, last mem.TierID) me
 	if table, ok := mv.machine.Tables()[key.PID]; ok {
 		if pfn, ok := table.Frame(key.VPN); ok {
 			t := mv.machine.Phys.Page(pfn).Tier
-			if promote {
-				if t == mem.FastTier {
-					return mem.FastTier
-				}
+			switch {
+			case promote && t > mem.FastTier:
 				return t - 1
+			case !promote && t < last:
+				return t + 1
 			}
-			if t >= last {
-				return last
-			}
-			return t + 1
 		}
 	}
 	if promote {
@@ -505,7 +414,6 @@ func (mv *Mover) retryTarget(key core.PageKey, promote bool, last mem.TierID) me
 func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 	mv.epoch++
 	mv.admSpentPromote, mv.admSpentDemote = 0, 0 // the admission budget is per-epoch
-	gated := mv.admissionGated()
 	phys := mv.machine.Phys
 	nt := phys.Tiers()
 	last := mem.TierID(nt - 1)
@@ -547,10 +455,9 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 		for _, e := range due {
 			queuedKeys[e.key] = struct{}{}
 			target := mv.retryTarget(e.key, e.promote, last)
-			if gated && !mv.admit(e.promote, mv.migrationCostNS(e.key, target)) {
+			if mv.admissionDenied(e.key, e.promote, target, e.attempts, e.firstFail) {
 				// Not an attempt — the bus was busy, the entry waits
 				// another epoch with its attempt count intact.
-				mv.deferAdmission(e.key, e.promote, e.attempts, e.firstFail)
 				continue
 			}
 			mv.Retried++
@@ -614,14 +521,7 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 		if t > 0 {
 			incoming += plan[t-1]
 		}
-		n := incoming - phys.FreeFrames(mem.TierID(t))
-		if n < 0 {
-			n = 0
-		}
-		if n > len(demoteByTier[t]) {
-			n = len(demoteByTier[t])
-		}
-		plan[t] = n
+		plan[t] = min(max(incoming-phys.FreeFrames(mem.TierID(t)), 0), len(demoteByTier[t]))
 	}
 
 	// Deep demote pre-pass, deepest tier first (n-2 .. 1), so every
@@ -632,42 +532,26 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 			continue
 		}
 		for _, cand := range core.TopKFunc(demoteByTier[t], plan[t], coldest) {
-			if gated && !mv.admit(false, mv.migrationCostNS(cand.key, mem.TierID(t)+1)) {
-				mv.deferAdmission(cand.key, false, 0, mv.epoch)
-				continue
+			if mv.tryMove(cand.key, false, mem.TierID(t)+1) {
+				demoted++
 			}
-			if err := mv.migrate(cand.key, mem.TierID(t)+1); err != nil {
-				mv.failAndMaybeRetry(cand.key, false, err, 1, mv.epoch)
-				continue
-			}
-			demoted++
-			mv.noteSuccess(cand.key, false, mem.TierID(t)+1)
 		}
 	}
 
-	// Top-of-chain exchange (tiers 0 and 1), the legacy two-tier
-	// hot path.
-	demote := demoteByTier[0]
-	promote := promoteByTier[1]
-	// Only demote as many pages as needed to fit the promotions plus
-	// any fast-tier overflow: that bound is known up front, so
-	// bounded selection pulls just the needed coldest candidates out
-	// of the (much larger) resident set instead of fully sorting it.
-	// Every candidate past the bound is only ever consumed when a
-	// migration fails (vanished mapping, full target tier); the
-	// fallback below sorts the remainder lazily so the demotion
-	// sequence stays exactly the coldest-first order a full sort
-	// would have produced.
-	head := core.TopKFunc(demote, plan[0], coldest)
-	rest := demote[len(head):]
+	// Top-of-chain demotions (tier 0 to 1), the two-tier hot path.
+	// Only demote as many pages as needed to fit the tier-1
+	// promotions plus any fast-tier overflow: that bound is known up
+	// front, so bounded selection pulls just the needed coldest
+	// candidates out of the (much larger) resident set instead of
+	// fully sorting it. Every candidate past the bound is only ever
+	// consumed when a migration fails (vanished mapping, full target
+	// tier); the fallback below sorts the remainder lazily so the
+	// demotion sequence stays exactly the coldest-first order a full
+	// sort would have produced.
+	head := core.TopKFunc(demoteByTier[0], plan[0], coldest)
+	rest := demoteByTier[0][len(head):]
 	restSorted := false
-
-	demotedFresh, promotedFresh := 0, 0
-	next := 0
-	for {
-		if phys.FreeFrames(mem.FastTier) >= len(promote)-promotedFresh {
-			break
-		}
+	for next := 0; phys.FreeFrames(mem.FastTier) < len(promoteByTier[1]); next++ {
 		var cand demoteCand
 		if next < len(head) {
 			cand = head[next]
@@ -682,68 +566,20 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 			}
 			cand = rest[j]
 		}
-		next++
-		if gated && !mv.admit(false, mv.migrationCostNS(cand.key, mem.SlowTier)) {
-			mv.deferAdmission(cand.key, false, 0, mv.epoch)
-			continue
+		if mv.tryMove(cand.key, false, mem.SlowTier) {
+			demoted++
 		}
-		if err := mv.migrate(cand.key, mem.SlowTier); err != nil {
-			mv.failAndMaybeRetry(cand.key, false, err, 1, mv.epoch)
-			continue
-		}
-		demotedFresh++
-		mv.noteSuccess(cand.key, false, mem.SlowTier)
 	}
-	for _, key := range promote {
-		if gated && !mv.admit(true, mv.migrationCostNS(key, mem.FastTier)) {
-			mv.deferAdmission(key, true, 0, mv.epoch)
-			continue
-		}
-		if phys.FreeFrames(mem.FastTier) == 0 {
-			mv.Failed++
-			mv.FailedCapacity++
-			mv.prov.NoteFail(key, provenance.FailCapacity)
-			if mv.deferRetry(key, true, 1, mv.epoch) {
-				mv.prov.NoteDeferred(key)
-			}
-			continue
-		}
-		if err := mv.migrate(key, mem.FastTier); err != nil {
-			mv.failAndMaybeRetry(key, true, err, 1, mv.epoch)
-			continue
-		}
-		promotedFresh++
-		mv.noteSuccess(key, true, mem.FastTier)
-	}
-	promoted += promotedFresh
-	demoted += demotedFresh
 
-	// Deep promote pass (tiers 2 .. n-1), each column climbing one
-	// tier. The pre-pass planned room in the destination tiers; when
-	// it fell short the capacity failure defers the climb to the next
-	// epoch, the same backpressure the top-of-chain exchange applies.
-	// Empty on a two-tier machine.
-	for t := mem.TierID(2); t <= last; t++ {
+	// Promote pass, top of the chain first (tiers 1 .. n-1), each
+	// column climbing one tier. The demotions planned room in the
+	// destination tiers; when it fell short the capacity failure
+	// defers the climb to the next epoch.
+	for t := mem.TierID(1); t <= last; t++ {
 		for _, key := range promoteByTier[t] {
-			if gated && !mv.admit(true, mv.migrationCostNS(key, t-1)) {
-				mv.deferAdmission(key, true, 0, mv.epoch)
-				continue
+			if mv.tryMove(key, true, t-1) {
+				promoted++
 			}
-			if phys.FreeFrames(t-1) == 0 {
-				mv.Failed++
-				mv.FailedCapacity++
-				mv.prov.NoteFail(key, provenance.FailCapacity)
-				if mv.deferRetry(key, true, 1, mv.epoch) {
-					mv.prov.NoteDeferred(key)
-				}
-				continue
-			}
-			if err := mv.migrate(key, t-1); err != nil {
-				mv.failAndMaybeRetry(key, true, err, 1, mv.epoch)
-				continue
-			}
-			promoted++
-			mv.noteSuccess(key, true, t-1)
 		}
 	}
 	mv.Promotions += uint64(promoted)
@@ -760,29 +596,12 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 		mv.machine.Core(mv.MoverCore).AdvanceClock(mv.chargeDelta())
 	}
 	if mv.tel.Enabled() {
-		mv.ctrPromote.Set(mv.Promotions)
-		mv.ctrDemote.Set(mv.Demotions)
+		for i, m := range moverMetrics {
+			mv.ctrStats[i].Set(*m.field(&mv.MoverStats))
+		}
 		mv.ctrSplits.Set(mv.Splits)
 		mv.ctrShootdown.Set(mv.Shootdowns)
-		mv.ctrFailed.Set(mv.Failed)
-		mv.ctrFailCap.Set(mv.FailedCapacity)
-		mv.ctrFailPin.Set(mv.FailedPinned)
-		mv.ctrFailVan.Set(mv.FailedVanished)
-		mv.ctrFailSplit.Set(mv.FailedSplit)
-		mv.ctrRetried.Set(mv.Retried)
-		mv.ctrRetryOK.Set(mv.RetrySucceeded)
-		mv.ctrRetryDrop.Set(mv.RetryDropped)
 		mv.ctrOverhead.Set(uint64(mv.OverheadNS))
-		mv.ctrTxStart.Set(mv.TxStarted)
-		mv.ctrTxCommit.Set(mv.TxCommitted)
-		mv.ctrTxAbort.Set(mv.AbortedDirty)
-		mv.ctrShadowHit.Set(mv.ShadowHits)
-		mv.ctrShadowSta.Set(mv.ShadowStale)
-		mv.ctrAdmProm.Set(mv.AdmittedPromotions)
-		mv.ctrAdmDem.Set(mv.AdmittedDemotions)
-		mv.ctrAdmDefer.Set(mv.DeferredAdmission)
-		mv.ctrRejProm.Set(mv.RejectedPromotions)
-		mv.ctrRejDem.Set(mv.RejectedDemotions)
 	}
 	return promoted, demoted
 }

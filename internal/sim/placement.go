@@ -7,13 +7,11 @@ import (
 	"tieredmem/internal/cpu"
 	"tieredmem/internal/emul"
 	"tieredmem/internal/fault"
-	"tieredmem/internal/fault/invariant"
 	"tieredmem/internal/mem"
 	"tieredmem/internal/policy"
 	"tieredmem/internal/provenance"
 	"tieredmem/internal/report"
 	"tieredmem/internal/telemetry"
-	"tieredmem/internal/trace"
 	"tieredmem/internal/workload"
 )
 
@@ -27,11 +25,11 @@ type PlacementConfig struct {
 	// Ratio is the footprint:fast-tier ratio (the paper's 4 GB fast /
 	// 60 GB slow testbed is ~1/16).
 	Ratio int
-	// Tiers, when non-nil, is the machine's full tier chain and takes
-	// the place of the legacy footprint/Ratio two-tier sizing (use
-	// DefaultChain for a workload-sized chain). The policy's tier-1
-	// capacity is the chain's top tier less the huge-fault slack. nil
-	// keeps the two-tier path bit-for-bit.
+	// Tiers is the machine's full tier chain (DefaultChain sizes one
+	// for a workload). The policy's tier-1 capacity is the chain's top
+	// tier less the huge-fault slack. nil resolves to
+	// DefaultChain(w, Ratio, 2) — in a sharded run, per cell, from the
+	// cell's own slice of the footprint.
 	Tiers mem.TierChain
 	// Policy drives migrations at epoch horizons; nil runs the
 	// first-come-first-allocate baseline with no mover and no
@@ -71,9 +69,11 @@ type PlacementConfig struct {
 	Invariants bool
 	// TxMigration switches the mover to the transactional engine:
 	// multi-phase migrations (claim, copy-while-mapped, verify-clean,
-	// remap) that abort on a mid-copy write, plus non-exclusive shadow
-	// copies making the re-demotion of a clean page a zero-copy remap.
-	// Off runs the legacy single-phase mover bit-for-bit.
+	// remap), plus non-exclusive shadow copies making the re-demotion
+	// of a clean page a zero-copy remap. Verify-clean aborts only when
+	// the mem.copyabort fault site fires; stores retiring during the
+	// copy are not modeled. Off runs the single-phase mover
+	// bit-for-bit.
 	TxMigration bool
 	// AdmissionFrac bounds per-epoch migration traffic to this fraction
 	// of EpochNS worth of simulated line-transfer time (the bandwidth
@@ -83,12 +83,7 @@ type PlacementConfig struct {
 
 // DefaultPlacementConfig mirrors DefaultConfig for placement runs.
 func DefaultPlacementConfig(w workload.Workload, ibsPeriod, totalRefs, ratio int, p policy.Policy, m core.Method) PlacementConfig {
-	cpuCfg := cpu.DefaultConfig()
-	cpuCfg.SoftCostDiv = 1_000_000_000 / ScaledSecond
-	tmp := core.DefaultConfig(ibsPeriod)
-	tmp.Abit.Interval = ScaledSecond
-	tmp.FilterInterval = ScaledSecond
-	tmp.HWPC.Window = ScaledSecond / 10
+	cpuCfg, tmp := scaledDefaults(ibsPeriod)
 	return PlacementConfig{
 		CPU:        cpuCfg,
 		TMP:        tmp,
@@ -103,14 +98,14 @@ func DefaultPlacementConfig(w workload.Workload, ibsPeriod, totalRefs, ratio int
 	}
 }
 
-// DefaultChain sizes an n-tier chain (2 ≤ n ≤ 4) for a workload the
-// way the legacy sizing carves a two-tier machine: the top tier holds
-// 1/ratio of the footprint (plus huge-fault slack), the bottom tier
-// alone can absorb the whole footprint with 25% headroom, and middle
-// tiers step geometrically between them. The 3- and 4-tier shapes
-// place a device-profiled CXL expander directly under DRAM, so a
-// devprof tracker has a tier to observe. n == 2 reproduces the legacy
-// DefaultTiers layout element for element.
+// DefaultChain sizes an n-tier chain (2 ≤ n ≤ 4) for a workload: the
+// top tier holds 1/ratio of the footprint (plus huge-fault slack), the
+// bottom tier alone can absorb the whole footprint with 25% headroom,
+// and middle tiers step geometrically between them. The 3- and 4-tier
+// shapes place a device-profiled CXL expander directly under DRAM, so
+// a devprof tracker has a tier to observe. n == 2 is the DefaultTiers
+// layout element for element, and what a placement run with nil Tiers
+// gets.
 func DefaultChain(w workload.Workload, ratio, n int) (mem.TierChain, error) {
 	if ratio <= 0 {
 		ratio = 16
@@ -141,40 +136,16 @@ type PlacementResult struct {
 	DurationNS int64
 	NumCores   int
 	// Tier-1 hitrate over memory accesses, measured live.
-	MemAccesses  uint64
-	Tier1Hits    uint64
-	Promotions   uint64
-	Demotions    uint64
+	MemAccesses uint64
+	Tier1Hits   uint64
+	// The mover's counters (all zero for the first-touch arm): moves,
+	// reason-partitioned failures, retry-queue outcomes, and the
+	// transaction, shadow, and admission accounting.
+	policy.MoverStats
 	EmulInjected int64
 	EmulFaults   uint64
-
-	// Robustness accounting (all zero in unfaulted runs). The mover's
-	// failure aggregate is partitioned by reason, retry outcomes track
-	// the deferred-retry queue, and FaultsInjected totals the plane's
-	// firings across every site.
-	Failed          uint64
-	FailedCapacity  uint64
-	FailedPinned    uint64
-	FailedVanished  uint64
-	FailedSplit     uint64
-	Retried         uint64
-	RetrySucceeded  uint64
-	RetrySuperseded uint64
-	RetryDropped    uint64
-	FaultsInjected  uint64
-	// Transactional-migration accounting (all zero unless TxMigration):
-	// transaction outcomes, shadow-copy hits, and the admission
-	// controller's decisions (the latter all zero unless AdmissionFrac).
-	TxStarted          uint64
-	TxCommitted        uint64
-	AbortedDirty       uint64
-	ShadowHits         uint64
-	ShadowStale        uint64
-	AdmittedPromotions uint64
-	AdmittedDemotions  uint64
-	DeferredAdmission  uint64
-	RejectedPromotions uint64
-	RejectedDemotions  uint64
+	// FaultsInjected totals the plane's firings across every site.
+	FaultsInjected uint64
 	// Quarantined lists mechanisms the profiler permanently disabled,
 	// in fixed (ibs, abit, hwpc, devprof) order.
 	Quarantined []string
@@ -200,88 +171,46 @@ func FaultAttribution(p *fault.Plane, res PlacementResult) []report.FaultRow {
 // result. Speedup is computed by the caller as baseline duration over
 // policy duration.
 func RunPlacement(cfg PlacementConfig, w workload.Workload) (PlacementResult, error) {
-	if cfg.TotalRefs <= 0 {
-		return PlacementResult{}, fmt.Errorf("sim: TotalRefs %d must be positive", cfg.TotalRefs)
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 1024
-	}
 	if cfg.EpochNS <= 0 {
 		cfg.EpochNS = ScaledSecond
 	}
 	if cfg.Ratio <= 0 {
 		cfg.Ratio = 16
 	}
-	footPages := int(w.FootprintBytes() >> mem.PageShift)
-	tiers := []mem.TierSpec(cfg.Tiers)
-	// Capacity the policy may fill: leave the huge-fault slack out so
-	// promotions never fail on a full tier.
-	capacity := footPages / cfg.Ratio
-	if tiers == nil {
-		fast := footPages/cfg.Ratio + mem.HugePages // slack so huge faults can land
-		slow := footPages + footPages/4 + mem.HugePages
-		tiers = mem.DefaultTiers(fast, slow)
-	} else {
-		capacity = cfg.Tiers[0].Frames - mem.HugePages
-		if capacity < 0 {
-			capacity = 0
-		}
-	}
-	m, err := cpu.NewMachine(cfg.CPU, tiers)
-	if err != nil {
-		return PlacementResult{}, err
-	}
-	if cfg.Huge {
-		m.SetHugeHint(workload.HugeHintFor(w))
-	}
-
-	res := PlacementResult{Workload: w.Name(), Arm: "first-touch", NumCores: len(m.Cores())}
-
-	var prof *core.Profiler
-	var mover *policy.Mover
-	if cfg.Policy != nil {
-		res.Arm = fmt.Sprintf("%s/%s", cfg.Policy.Name(), cfg.Method)
-		prof, err = core.New(cfg.TMP, m, nil)
+	if cfg.Tiers == nil {
+		chain, err := DefaultChain(w, cfg.Ratio, 2)
 		if err != nil {
 			return PlacementResult{}, err
 		}
-		for _, pid := range w.Processes() {
-			prof.Register(pid)
-		}
+		cfg.Tiers = chain
+	}
+	// Capacity the policy may fill: leave the huge-fault slack out so
+	// promotions never fail on a full tier.
+	capacity := max(cfg.Tiers[0].Frames-mem.HugePages, 0)
+	r, err := assemble(Config{
+		CPU: cfg.CPU, Tiers: cfg.Tiers, TMP: cfg.TMP, EpochNS: cfg.EpochNS,
+		TotalRefs: cfg.TotalRefs, BatchSize: cfg.BatchSize, Huge: cfg.Huge,
+		Tracer: cfg.Tracer, Faults: cfg.Faults, Invariants: cfg.Invariants,
+	}, w, cfg.Policy != nil)
+	if err != nil {
+		return PlacementResult{}, err
+	}
+	m, prof := r.Machine, r.Profiler
+
+	res := PlacementResult{Workload: w.Name(), Arm: "first-touch", NumCores: len(m.Cores())}
+
+	var mover *policy.Mover
+	if cfg.Policy != nil {
+		res.Arm = fmt.Sprintf("%s/%s", cfg.Policy.Name(), cfg.Method)
 		mover = policy.NewMover(m)
 		mover.Transactional = cfg.TxMigration
 		mover.AdmissionBudgetNS = policy.AdmissionBudgetNS(cfg.EpochNS, cfg.AdmissionFrac)
-		if cfg.Tracer.Enabled() {
-			prof.SetTracer(cfg.Tracer)
-			mover.SetTracer(cfg.Tracer)
-		}
+		mover.SetTracer(cfg.Tracer)
+		mover.SetFaultPlane(cfg.Faults)
 		if cfg.Prov.Enabled() {
 			cfg.Prov.SetTracer(cfg.Tracer)
 			mover.SetProvenance(cfg.Prov)
 		}
-	}
-	if cfg.Tracer.Enabled() {
-		m.Phys.SetTracer(cfg.Tracer)
-	}
-	if cfg.Faults != nil {
-		m.Phys.SetFaultPlane(cfg.Faults)
-		if prof != nil {
-			prof.SetFaultPlane(cfg.Faults)
-		}
-		if mover != nil {
-			mover.SetFaultPlane(cfg.Faults)
-		}
-		if cfg.Tracer.Enabled() {
-			cfg.Faults.SetTracer(cfg.Tracer)
-		}
-	}
-	// Under fault injection (or on request) every placement pass must
-	// leave the machine conserved: no frame lost or duplicated, every
-	// mapping backed, mover counters consistent. The checker only
-	// reads, so checked runs are byte-identical to unchecked ones.
-	var inv *invariant.Checker
-	if cfg.Invariants || cfg.Faults.Enabled() {
-		inv = invariant.New()
 	}
 	var collapser *policy.Collapser
 	if cfg.Khugepaged && cfg.Huge {
@@ -306,121 +235,72 @@ func RunPlacement(cfg PlacementConfig, w workload.Workload) (PlacementResult, er
 	}
 
 	pids := w.Processes()
-
-	buf := make([]trace.Ref, cfg.BatchSize)
 	// Harvest scratch reused across epochs: the placement loop drops
 	// each harvest after selection, so steady-state epochs run
 	// allocation-free (HarvestEpochInto recycles ep's backing array).
 	var ep core.EpochStats
-	nextEpoch := cfg.EpochNS
-	executed := 0
-	for executed < cfg.TotalRefs {
-		n := cfg.BatchSize
-		if remain := cfg.TotalRefs - executed; remain < n {
-			n = remain
-		}
-		batch := buf[:n]
-		w.Fill(batch)
-		for i := range batch {
-			o, err := m.Execute(batch[i])
-			if err != nil {
-				return res, fmt.Errorf("sim: executing ref %d: %w", executed+i, err)
-			}
-			if o.Source.IsMemory() {
-				res.MemAccesses++
-				if o.Source == trace.SrcTier1 {
-					res.Tier1Hits++
-				}
-			}
-		}
-		executed += n
-		now := m.Now()
+	tick := func(now int64) {
 		if prof != nil {
 			prof.Tick(now)
 		}
 		if em != nil {
 			em.TickIfDue(now)
 		}
-		if now >= nextEpoch {
-			if prof != nil {
-				prof.HarvestEpochInto(&ep)
-				// Quarantine degrades the requested evidence method to
-				// whatever mechanisms survive; without faults nothing
-				// is ever quarantined and this is the identity.
-				method := prof.EffectiveMethod(cfg.Method)
-				sel := cfg.Policy.Select(ep, core.EpochStats{}, method, capacity)
-				if cfg.Prov.Enabled() {
-					// Record the harvest before the mover runs so the
-					// evidence snapshot predates any tier transition.
-					cfg.Prov.BeginEpoch(ep.Epoch, method, cfg.Method, mover.MinPromoteRank)
-					cfg.Prov.ObserveHarvest(ep, func(k core.PageKey) bool {
-						_, ok := sel[k]
-						return ok
-					})
-				}
-				promoted, demoted := mover.ApplySelection(sel, core.RanksOf(ep, method))
-				cfg.Prov.FinishEpoch()
-				if em != nil && promoted+demoted > 0 {
-					extra := em.ChargeMigration(promoted + demoted)
-					m.Core(0).AdvanceClock(extra)
-					// Newly demoted pages must be re-protected now,
-					// not at the next window.
-					em.Repoison()
-				}
-			} else {
-				m.Phys.ResetEpochAll()
-				// The baseline arm has no profiler to cut telemetry
-				// epochs; cut here so its counter deltas stay aligned
-				// to the same horizons as the policy arms.
-				cfg.Tracer.CutEpoch(now, 0)
-			}
-			if collapser != nil {
-				// khugepaged cadence: repair a couple of split
-				// chunks per epoch.
-				collapser.Collapse(pids, 2)
-			}
-			if inv != nil {
-				if err := inv.Check(m.Phys, m.Tables(), mover); err != nil {
-					return res, fmt.Errorf("sim: placement epoch at %dns: %w", now, err)
-				}
-			}
-			// One placement pass per batch even if multiple epoch
-			// boundaries elapsed (migration work advances the clock;
-			// re-running placement on empty harvests would thrash).
-			for nextEpoch <= now {
-				nextEpoch += cfg.EpochNS
-			}
-		}
 	}
-	if inv != nil {
-		if err := inv.Check(m.Phys, m.Tables(), mover); err != nil {
-			return res, fmt.Errorf("sim: final state: %w", err)
+	ls, err := r.drive(nil, tick, true, func(now int64) error {
+		if prof != nil {
+			prof.HarvestEpochInto(&ep)
+			// Quarantine degrades the requested evidence method to
+			// whatever mechanisms survive; without faults nothing is
+			// ever quarantined and this is the identity.
+			method := prof.EffectiveMethod(cfg.Method)
+			sel := cfg.Policy.Select(ep, core.EpochStats{}, method, capacity)
+			if cfg.Prov.Enabled() {
+				// Record the harvest before the mover runs so the
+				// evidence snapshot predates any tier transition.
+				cfg.Prov.BeginEpoch(ep.Epoch, method, cfg.Method, mover.MinPromoteRank)
+				cfg.Prov.ObserveHarvest(ep, func(k core.PageKey) bool {
+					_, ok := sel[k]
+					return ok
+				})
+			}
+			promoted, demoted := mover.ApplySelection(sel, core.RanksOf(ep, method))
+			cfg.Prov.FinishEpoch()
+			if em != nil && promoted+demoted > 0 {
+				extra := em.ChargeMigration(promoted + demoted)
+				m.Core(0).AdvanceClock(extra)
+				// Newly demoted pages must be re-protected now, not at
+				// the next window.
+				em.Repoison()
+			}
+		} else {
+			m.Phys.ResetEpochAll()
+			// The baseline arm has no profiler to cut telemetry
+			// epochs; cut here so its counter deltas stay aligned
+			// to the same horizons as the policy arms.
+			cfg.Tracer.CutEpoch(now, 0)
 		}
+		if collapser != nil {
+			// khugepaged cadence: repair a couple of split chunks
+			// per epoch.
+			collapser.Collapse(pids, 2)
+		}
+		if err := r.check(mover); err != nil {
+			return fmt.Errorf("sim: placement epoch at %dns: %w", now, err)
+		}
+		return nil
+	})
+	res.MemAccesses, res.Tier1Hits = ls.memAccesses, ls.tier1Hits
+	if err != nil {
+		return res, err
 	}
-	res.Refs = executed
+	if err := r.check(mover); err != nil {
+		return res, fmt.Errorf("sim: final state: %w", err)
+	}
+	res.Refs = ls.refs
 	res.DurationNS = m.Now()
 	if mover != nil {
-		res.Promotions = mover.Promotions
-		res.Demotions = mover.Demotions
-		res.Failed = mover.Failed
-		res.FailedCapacity = mover.FailedCapacity
-		res.FailedPinned = mover.FailedPinned
-		res.FailedVanished = mover.FailedVanished
-		res.FailedSplit = mover.FailedSplit
-		res.Retried = mover.Retried
-		res.RetrySucceeded = mover.RetrySucceeded
-		res.RetrySuperseded = mover.RetrySuperseded
-		res.RetryDropped = mover.RetryDropped
-		res.TxStarted = mover.TxStarted
-		res.TxCommitted = mover.TxCommitted
-		res.AbortedDirty = mover.AbortedDirty
-		res.ShadowHits = mover.ShadowHits
-		res.ShadowStale = mover.ShadowStale
-		res.AdmittedPromotions = mover.AdmittedPromotions
-		res.AdmittedDemotions = mover.AdmittedDemotions
-		res.DeferredAdmission = mover.DeferredAdmission
-		res.RejectedPromotions = mover.RejectedPromotions
-		res.RejectedDemotions = mover.RejectedDemotions
+		res.MoverStats = mover.MoverStats
 	}
 	if prof != nil {
 		res.Quarantined = prof.QuarantinedMechanisms()

@@ -90,7 +90,8 @@ func (r ShardedResult) FaultsInjectedTotal() uint64 {
 // shardTiers carves a whole-machine tier sizing into one cell's share:
 // every tier keeps 1/cells of its frames plus the huge-fault slack
 // (the same slack rule the whole-machine sizing applies once). nil in,
-// nil out — sim.New then sizes tiers from the cell's own footprint.
+// nil out — New and RunPlacement then size tiers from the cell's own
+// footprint.
 func shardTiers(tiers []mem.TierSpec, cells int) []mem.TierSpec {
 	if tiers == nil {
 		return nil
@@ -110,6 +111,69 @@ func cellLabel(label string, cell int) string {
 		return fmt.Sprintf("cell%d", cell)
 	}
 	return fmt.Sprintf("%s/cell%d", label, cell)
+}
+
+// cellFan is the per-core partition both sharded entry points share:
+// the validated probe workload, the cell count, and each cell's private
+// tracer and fault plane, allocated up front in cell order so exports
+// never depend on completion order.
+type cellFan struct {
+	label     string
+	workload  string
+	procs     int
+	cells     int
+	tracers   []*telemetry.Tracer
+	telemetry []telemetry.Labeled // the non-nil tracers, labeled
+	planes    []*fault.Plane      // nil entries when spec is zero
+}
+
+// newCellFan probes mk's workload and partitions it across cores.
+func newCellFan(mk func() workload.Workload, cores int, label string, trace bool, spec fault.Spec, seed int64) (*cellFan, error) {
+	probe := mk()
+	if !workload.Sliceable(probe) {
+		return nil, fmt.Errorf("sim: workload %q cannot be sharded per core", probe.Name())
+	}
+	cells := workload.Cells(probe, cores)
+	if cells < 1 {
+		return nil, fmt.Errorf("sim: workload %q has no processes to shard", probe.Name())
+	}
+	f := &cellFan{
+		label: label, workload: probe.Name(), procs: len(probe.Processes()), cells: cells,
+		tracers: make([]*telemetry.Tracer, cells), planes: make([]*fault.Plane, cells),
+	}
+	for c := 0; c < cells; c++ {
+		if trace {
+			f.tracers[c] = telemetry.New()
+			f.telemetry = append(f.telemetry, telemetry.Labeled{Label: cellLabel(label, c), Tracer: f.tracers[c]})
+		}
+		if !spec.Zero() {
+			f.planes[c] = fault.New(spec, seed+int64(c))
+		}
+	}
+	return f, nil
+}
+
+// runCells executes every cell of f on the shard pool (width shards)
+// and returns the per-cell results in cell order. Each cell gets its
+// share of totalRefs and a private slice of a fresh workload from mk;
+// a cell with no references returns R's zero value without running.
+func runCells[R any](f *cellFan, shards int, nowNS func() int64, totalRefs int, mk func() workload.Workload,
+	run func(cell, refs int, sliced workload.Workload) (R, error)) ([]R, runner.Stats, error) {
+	return runner.ShardGroup(
+		runner.Config{Workers: shards, NowNS: nowNS}, f.cells,
+		func(c int) string { return cellLabel(f.label, c) },
+		func(cell int) (R, error) {
+			var zero R
+			refs := workload.SliceRefs(int64(totalRefs), f.procs, cell, f.cells)
+			if refs == 0 {
+				return zero, nil
+			}
+			sliced, err := workload.Slice(mk(), cell, f.cells)
+			if err != nil {
+				return zero, err
+			}
+			return run(cell, int(refs), sliced)
+		})
 }
 
 // prefixQuarantined rewrites one cell's quarantined-mechanism list
@@ -133,49 +197,19 @@ func RunSharded(scfg ShardedConfig, mk func() workload.Workload) (ShardedResult,
 	if scfg.Base.Tracer != nil || scfg.Base.Faults != nil {
 		return ShardedResult{}, fmt.Errorf("sim: sharded runs derive per-cell tracers and fault planes; set ShardedConfig.Trace/FaultSpec, not Base.Tracer/Base.Faults")
 	}
-	probe := mk()
-	if !workload.Sliceable(probe) {
-		return ShardedResult{}, fmt.Errorf("sim: workload %q cannot be sharded per core", probe.Name())
+	fan, err := newCellFan(mk, scfg.Base.CPU.Cores, scfg.Label, scfg.Trace, scfg.FaultSpec, scfg.FaultSeed)
+	if err != nil {
+		return ShardedResult{}, err
 	}
-	cells := workload.Cells(probe, scfg.Base.CPU.Cores)
-	if cells < 1 {
-		return ShardedResult{}, fmt.Errorf("sim: workload %q has no processes to shard", probe.Name())
-	}
-	procs := len(probe.Processes())
-
-	sres := ShardedResult{Cells: cells}
-	// Per-cell observability is allocated up front, in cell order, so
-	// exports never depend on completion order.
-	tracers := make([]*telemetry.Tracer, cells)
-	sres.Planes = make([]*fault.Plane, cells)
-	for c := 0; c < cells; c++ {
-		if scfg.Trace {
-			tracers[c] = telemetry.New()
-			sres.Telemetry = append(sres.Telemetry, telemetry.Labeled{Label: cellLabel(scfg.Label, c), Tracer: tracers[c]})
-		}
-		if !scfg.FaultSpec.Zero() {
-			sres.Planes[c] = fault.New(scfg.FaultSpec, scfg.FaultSeed+int64(c))
-		}
-	}
-
-	results, stats, err := runner.ShardGroup(
-		runner.Config{Workers: scfg.Shards, NowNS: scfg.NowNS}, cells,
-		func(c int) string { return cellLabel(scfg.Label, c) },
-		func(cell int) (Result, error) {
-			refs := workload.SliceRefs(int64(scfg.Base.TotalRefs), procs, cell, cells)
-			if refs == 0 {
-				return Result{}, nil
-			}
-			sliced, err := workload.Slice(mk(), cell, cells)
-			if err != nil {
-				return Result{}, err
-			}
+	sres := ShardedResult{Cells: fan.cells, Telemetry: fan.telemetry, Planes: fan.planes}
+	results, stats, err := runCells(fan, scfg.Shards, scfg.NowNS, scfg.Base.TotalRefs, mk,
+		func(cell, refs int, sliced workload.Workload) (Result, error) {
 			cfg := scfg.Base
 			cfg.CPU.Cores = 1
-			cfg.TotalRefs = int(refs)
-			cfg.Tiers = shardTiers(scfg.Base.Tiers, cells)
-			cfg.Tracer = tracers[cell]
-			cfg.Faults = sres.Planes[cell]
+			cfg.TotalRefs = refs
+			cfg.Tiers = shardTiers(scfg.Base.Tiers, fan.cells)
+			cfg.Tracer = fan.tracers[cell]
+			cfg.Faults = fan.planes[cell]
 			r, err := New(cfg, sliced)
 			if err != nil {
 				return Result{}, err
@@ -191,8 +225,8 @@ func RunSharded(scfg ShardedConfig, mk func() workload.Workload) (ShardedResult,
 	// across cells through the Merger, sum counters, keep the slowest
 	// cell's virtual duration (cells run concurrently in the modeled
 	// machine, so the machine's duration is the critical path).
-	sres.Workload = probe.Name()
-	sres.NumCores = cells
+	sres.Workload = fan.workload
+	sres.NumCores = fan.cells
 	maxEpochs := 0
 	for _, r := range results {
 		if len(r.Epochs) > maxEpochs {
@@ -200,7 +234,7 @@ func RunSharded(scfg ShardedConfig, mk func() workload.Workload) (ShardedResult,
 		}
 	}
 	merger := core.NewMerger(0)
-	scratch := make([]core.EpochStats, 0, cells)
+	scratch := make([]core.EpochStats, 0, fan.cells)
 	for k := 0; k < maxEpochs; k++ {
 		scratch = scratch[:0]
 		for _, r := range results {
@@ -278,54 +312,29 @@ func RunShardedPlacement(scfg ShardedPlacementConfig, mk func() workload.Workloa
 	if scfg.Base.Policy != nil || scfg.Base.Tracer != nil || scfg.Base.Faults != nil || scfg.Base.Prov != nil {
 		return ShardedPlacementResult{}, fmt.Errorf("sim: sharded placement derives per-cell policy/tracer/faults/prov; set MkPolicy/Trace/FaultSpec/Prov on ShardedPlacementConfig, not Base")
 	}
-	probe := mk()
-	if !workload.Sliceable(probe) {
-		return ShardedPlacementResult{}, fmt.Errorf("sim: workload %q cannot be sharded per core", probe.Name())
+	fan, err := newCellFan(mk, scfg.Base.CPU.Cores, scfg.Label, scfg.Trace, scfg.FaultSpec, scfg.FaultSeed)
+	if err != nil {
+		return ShardedPlacementResult{}, err
 	}
-	cells := workload.Cells(probe, scfg.Base.CPU.Cores)
-	if cells < 1 {
-		return ShardedPlacementResult{}, fmt.Errorf("sim: workload %q has no processes to shard", probe.Name())
-	}
-	procs := len(probe.Processes())
-
-	sres := ShardedPlacementResult{Cells: cells}
-	tracers := make([]*telemetry.Tracer, cells)
-	recorders := make([]*provenance.Recorder, cells)
-	sres.Planes = make([]*fault.Plane, cells)
-	for c := 0; c < cells; c++ {
-		if scfg.Trace {
-			tracers[c] = telemetry.New()
-			sres.Telemetry = append(sres.Telemetry, telemetry.Labeled{Label: cellLabel(scfg.Label, c), Tracer: tracers[c]})
-		}
-		if scfg.Prov && scfg.MkPolicy != nil {
+	sres := ShardedPlacementResult{Cells: fan.cells, Telemetry: fan.telemetry, Planes: fan.planes}
+	recorders := make([]*provenance.Recorder, fan.cells)
+	prov := scfg.Prov && scfg.MkPolicy != nil
+	if prov {
+		for c := range recorders {
 			recorders[c] = provenance.New()
 		}
-		if !scfg.FaultSpec.Zero() {
-			sres.Planes[c] = fault.New(scfg.FaultSpec, scfg.FaultSeed+int64(c))
-		}
 	}
-
-	results, stats, err := runner.ShardGroup(
-		runner.Config{Workers: scfg.Shards, NowNS: scfg.NowNS}, cells,
-		func(c int) string { return cellLabel(scfg.Label, c) },
-		func(cell int) (PlacementResult, error) {
-			refs := workload.SliceRefs(int64(scfg.Base.TotalRefs), procs, cell, cells)
-			if refs == 0 {
-				return PlacementResult{}, nil
-			}
-			sliced, err := workload.Slice(mk(), cell, cells)
-			if err != nil {
-				return PlacementResult{}, err
-			}
+	results, stats, err := runCells(fan, scfg.Shards, scfg.NowNS, scfg.Base.TotalRefs, mk,
+		func(cell, refs int, sliced workload.Workload) (PlacementResult, error) {
 			cfg := scfg.Base
 			cfg.CPU.Cores = 1
-			cfg.TotalRefs = int(refs)
-			cfg.Tiers = mem.TierChain(shardTiers(scfg.Base.Tiers, cells))
+			cfg.TotalRefs = refs
+			cfg.Tiers = shardTiers(scfg.Base.Tiers, fan.cells)
 			if scfg.MkPolicy != nil {
 				cfg.Policy = scfg.MkPolicy()
 			}
-			cfg.Tracer = tracers[cell]
-			cfg.Faults = sres.Planes[cell]
+			cfg.Tracer = fan.tracers[cell]
+			cfg.Faults = fan.planes[cell]
 			cfg.Prov = recorders[cell]
 			return RunPlacement(cfg, sliced)
 		})
@@ -334,8 +343,8 @@ func RunShardedPlacement(scfg ShardedPlacementConfig, mk func() workload.Workloa
 		return sres, err
 	}
 
-	sres.Workload = probe.Name()
-	sres.NumCores = cells
+	sres.Workload = fan.workload
+	sres.NumCores = fan.cells
 	for c, r := range results {
 		if r.Arm != "" {
 			sres.Arm = r.Arm
@@ -346,34 +355,14 @@ func RunShardedPlacement(scfg ShardedPlacementConfig, mk func() workload.Workloa
 		}
 		sres.MemAccesses += r.MemAccesses
 		sres.Tier1Hits += r.Tier1Hits
-		sres.Promotions += r.Promotions
-		sres.Demotions += r.Demotions
+		sres.MoverStats.Add(r.MoverStats)
 		sres.EmulInjected += r.EmulInjected
 		sres.EmulFaults += r.EmulFaults
-		sres.Failed += r.Failed
-		sres.FailedCapacity += r.FailedCapacity
-		sres.FailedPinned += r.FailedPinned
-		sres.FailedVanished += r.FailedVanished
-		sres.FailedSplit += r.FailedSplit
-		sres.Retried += r.Retried
-		sres.RetrySucceeded += r.RetrySucceeded
-		sres.RetrySuperseded += r.RetrySuperseded
-		sres.RetryDropped += r.RetryDropped
-		sres.TxStarted += r.TxStarted
-		sres.TxCommitted += r.TxCommitted
-		sres.AbortedDirty += r.AbortedDirty
-		sres.ShadowHits += r.ShadowHits
-		sres.ShadowStale += r.ShadowStale
-		sres.AdmittedPromotions += r.AdmittedPromotions
-		sres.AdmittedDemotions += r.AdmittedDemotions
-		sres.DeferredAdmission += r.DeferredAdmission
-		sres.RejectedPromotions += r.RejectedPromotions
-		sres.RejectedDemotions += r.RejectedDemotions
 		sres.FaultsInjected += r.FaultsInjected
 		sres.Quarantined = prefixQuarantined(sres.Quarantined, scfg.Label, c, r.Quarantined)
 	}
-	if scfg.Prov && scfg.MkPolicy != nil {
-		parts := make([]provenance.Log, 0, cells)
+	if prov {
+		parts := make([]provenance.Log, 0, fan.cells)
 		for c, rec := range recorders {
 			if rec.Enabled() {
 				parts = append(parts, rec.Snapshot(cellLabel(scfg.Label, c)))
@@ -397,27 +386,8 @@ func MergedFaultAttribution(planes []*fault.Plane, res PlacementResult) []report
 		}
 		rows = append(rows, report.FaultRow{Name: "fault/" + s.String() + "_injected", Value: total})
 	}
-	rows = append(rows,
-		report.FaultRow{Name: "mover/failed", Value: res.Failed},
-		report.FaultRow{Name: "mover/failed_capacity", Value: res.FailedCapacity},
-		report.FaultRow{Name: "mover/failed_pinned", Value: res.FailedPinned},
-		report.FaultRow{Name: "mover/failed_vanished", Value: res.FailedVanished},
-		report.FaultRow{Name: "mover/failed_split", Value: res.FailedSplit},
-		report.FaultRow{Name: "mover/retries", Value: res.Retried},
-		report.FaultRow{Name: "mover/retry_succeeded", Value: res.RetrySucceeded},
-		report.FaultRow{Name: "mover/retry_superseded", Value: res.RetrySuperseded},
-		report.FaultRow{Name: "mover/retry_dropped", Value: res.RetryDropped},
-		report.FaultRow{Name: "mover/tx_started", Value: res.TxStarted},
-		report.FaultRow{Name: "mover/tx_committed", Value: res.TxCommitted},
-		report.FaultRow{Name: "mover/aborted_dirty", Value: res.AbortedDirty},
-		report.FaultRow{Name: "mover/shadow_hits", Value: res.ShadowHits},
-		report.FaultRow{Name: "mover/shadow_stale", Value: res.ShadowStale},
-		report.FaultRow{Name: "mover/admitted_promotions", Value: res.AdmittedPromotions},
-		report.FaultRow{Name: "mover/admitted_demotions", Value: res.AdmittedDemotions},
-		report.FaultRow{Name: "mover/deferred_admission", Value: res.DeferredAdmission},
-		report.FaultRow{Name: "mover/rejected_promotions", Value: res.RejectedPromotions},
-		report.FaultRow{Name: "mover/rejected_demotions", Value: res.RejectedDemotions},
-		report.FaultRow{Name: "quarantined_mechanisms", Value: uint64(len(res.Quarantined))},
-	)
-	return rows
+	for _, cv := range res.AttributionCounters() {
+		rows = append(rows, report.FaultRow{Name: cv.Name, Value: cv.Value})
+	}
+	return append(rows, report.FaultRow{Name: "quarantined_mechanisms", Value: uint64(len(res.Quarantined))})
 }

@@ -13,6 +13,7 @@ import (
 	"tieredmem/internal/fault"
 	"tieredmem/internal/fault/invariant"
 	"tieredmem/internal/mem"
+	"tieredmem/internal/policy"
 	"tieredmem/internal/telemetry"
 	"tieredmem/internal/trace"
 	"tieredmem/internal/workload"
@@ -21,8 +22,8 @@ import (
 // Config assembles a run.
 type Config struct {
 	CPU cpu.Config
-	// Tiers sizes physical memory; when nil, SlackRatio sizes a
-	// fast tier holding the whole footprint (profiling-only runs).
+	// Tiers sizes physical memory; when nil, New sizes a fast tier
+	// holding the whole footprint (profiling-only runs).
 	Tiers []mem.TierSpec
 	TMP   core.Config
 	// EpochNS is the placement epoch (the paper uses 1 virtual
@@ -62,25 +63,36 @@ const ScaledSecond = int64(1_000_000) // 1 virtual ms
 // IBS base period scaled for multi-million-reference streams,
 // scaled-second epochs, THP on.
 func DefaultConfig(w workload.Workload, ibsPeriod int, totalRefs int) Config {
-	footPages := int(w.FootprintBytes() >> mem.PageShift)
-	// Fast tier big enough for everything plus slack: profiling runs
-	// measure detection, not placement.
-	tiers := mem.DefaultTiers(footPages+footPages/4+mem.HugePages, footPages/2+mem.HugePages)
-	cpuCfg := cpu.DefaultConfig()
-	cpuCfg.SoftCostDiv = 1_000_000_000 / ScaledSecond
-	tmp := core.DefaultConfig(ibsPeriod)
-	tmp.Abit.Interval = ScaledSecond
-	tmp.FilterInterval = ScaledSecond
-	tmp.HWPC.Window = ScaledSecond / 10
+	cpuCfg, tmp := scaledDefaults(ibsPeriod)
 	return Config{
 		CPU:       cpuCfg,
-		Tiers:     tiers,
+		Tiers:     profilingTiers(w),
 		TMP:       tmp,
 		EpochNS:   ScaledSecond,
 		TotalRefs: totalRefs,
 		BatchSize: 1024,
 		Huge:      true,
 	}
+}
+
+// scaledDefaults returns the CPU and TMP defaults with every interval
+// in ScaledSecond units (see ScaledSecond).
+func scaledDefaults(ibsPeriod int) (cpu.Config, core.Config) {
+	cpuCfg := cpu.DefaultConfig()
+	cpuCfg.SoftCostDiv = 1_000_000_000 / ScaledSecond
+	tmp := core.DefaultConfig(ibsPeriod)
+	tmp.Abit.Interval = ScaledSecond
+	tmp.FilterInterval = ScaledSecond
+	tmp.HWPC.Window = ScaledSecond / 10
+	return cpuCfg, tmp
+}
+
+// profilingTiers sizes a profiling run's machine: a fast tier big
+// enough for the whole footprint plus slack, since profiling runs
+// measure detection, not placement.
+func profilingTiers(w workload.Workload) []mem.TierSpec {
+	footPages := int(w.FootprintBytes() >> mem.PageShift)
+	return mem.DefaultTiers(footPages+footPages/4+mem.HugePages, footPages/2+mem.HugePages)
 }
 
 // Hooks observe a run.
@@ -123,28 +135,40 @@ func (r Result) OverheadFraction() float64 {
 		(float64(r.DurationNS) * float64(r.NumCores))
 }
 
-// Runner is one assembled experiment.
+// Runner is one assembled experiment. Both entry points run on it:
+// Run collects a harvest at each epoch, RunPlacement places pages.
+// They share the machine assembly and the batch loop (drive), and
+// differ only in their epoch action and result assembly.
 type Runner struct {
 	Machine  *cpu.Machine
 	Profiler *core.Profiler
 	Workload workload.Workload
 	cfg      Config
+	// inv asserts the epoch invariants; nil when they are off.
+	inv *invariant.Checker
 }
 
 // New assembles a runner.
 func New(cfg Config, w workload.Workload) (*Runner, error) {
+	if cfg.EpochNS <= 0 {
+		cfg.EpochNS = 1_000_000_000
+	}
+	if cfg.Tiers == nil {
+		cfg.Tiers = profilingTiers(w)
+	}
+	return assemble(cfg, w, true)
+}
+
+// assemble builds a run's machine: tiers and huge hint, the profiler
+// with every process registered (none when profile is false — the
+// first-touch placement arm), tracer and fault-plane wiring, and the
+// invariant checker.
+func assemble(cfg Config, w workload.Workload, profile bool) (*Runner, error) {
 	if cfg.TotalRefs <= 0 {
 		return nil, fmt.Errorf("sim: TotalRefs %d must be positive", cfg.TotalRefs)
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1024
-	}
-	if cfg.EpochNS <= 0 {
-		cfg.EpochNS = 1_000_000_000
-	}
-	if cfg.Tiers == nil {
-		footPages := int(w.FootprintBytes() >> mem.PageShift)
-		cfg.Tiers = mem.DefaultTiers(footPages+footPages/4+mem.HugePages, footPages/2+mem.HugePages)
 	}
 	m, err := cpu.NewMachine(cfg.CPU, cfg.Tiers)
 	if err != nil {
@@ -153,25 +177,100 @@ func New(cfg Config, w workload.Workload) (*Runner, error) {
 	if cfg.Huge {
 		m.SetHugeHint(workload.HugeHintFor(w))
 	}
-	prof, err := core.New(cfg.TMP, m, cfg.Usage)
-	if err != nil {
-		return nil, err
+	r := &Runner{Machine: m, Workload: w, cfg: cfg}
+	if profile {
+		if r.Profiler, err = core.New(cfg.TMP, m, cfg.Usage); err != nil {
+			return nil, err
+		}
+		for _, pid := range w.Processes() {
+			r.Profiler.Register(pid)
+		}
 	}
 	if cfg.Tracer.Enabled() {
 		m.Phys.SetTracer(cfg.Tracer)
-		prof.SetTracer(cfg.Tracer)
+		if profile {
+			r.Profiler.SetTracer(cfg.Tracer)
+		}
 	}
 	if cfg.Faults != nil {
 		m.Phys.SetFaultPlane(cfg.Faults)
-		prof.SetFaultPlane(cfg.Faults)
+		if profile {
+			r.Profiler.SetFaultPlane(cfg.Faults)
+		}
 		if cfg.Tracer.Enabled() {
 			cfg.Faults.SetTracer(cfg.Tracer)
 		}
 	}
-	for _, pid := range w.Processes() {
-		prof.Register(pid)
+	// Under fault injection (or on request) every epoch must leave the
+	// machine conserved: no frame lost or duplicated, every mapping
+	// backed, mover counters consistent.
+	if cfg.Invariants || cfg.Faults.Enabled() {
+		r.inv = invariant.New()
 	}
-	return &Runner{Machine: m, Profiler: prof, Workload: w, cfg: cfg}, nil
+	return r, nil
+}
+
+// check asserts the invariant checker (and the mover's accounting,
+// when mv is non-nil). It only reads, so checked runs are
+// byte-identical to unchecked ones.
+func (r *Runner) check(mv *policy.Mover) error {
+	if r.inv == nil {
+		return nil
+	}
+	return r.inv.Check(r.Machine.Phys, r.Machine.Tables(), mv)
+}
+
+// loopStats totals a batch loop: references executed, and how many of
+// them memory served, tier 1 among them.
+type loopStats struct {
+	refs        int
+	memAccesses uint64
+	tier1Hits   uint64
+}
+
+// drive is the one batch loop: fill a batch from the workload, execute
+// it, tick, and run epoch at every virtual-time horizon the batch
+// crossed — once per horizon, or with coalesce once per batch however
+// many elapsed (migration work advances the clock, and re-running
+// placement on empty harvests would thrash). onOutcome, when non-nil,
+// sees every completed reference.
+func (r *Runner) drive(onOutcome func(o *trace.Outcome), tick func(now int64), coalesce bool, epoch func(now int64) error) (loopStats, error) {
+	m, w, cfg := r.Machine, r.Workload, &r.cfg
+	var ls loopStats
+	buf := make([]trace.Ref, cfg.BatchSize)
+	nextEpoch := cfg.EpochNS
+	for ls.refs < cfg.TotalRefs {
+		batch := buf[:min(cfg.BatchSize, cfg.TotalRefs-ls.refs)]
+		w.Fill(batch)
+		for i := range batch {
+			o, err := m.Execute(batch[i])
+			if err != nil {
+				return ls, fmt.Errorf("sim: executing ref %d: %w", ls.refs+i, err)
+			}
+			if o.Source.IsMemory() {
+				ls.memAccesses++
+				if o.Source == trace.SrcTier1 {
+					ls.tier1Hits++
+				}
+			}
+			if onOutcome != nil {
+				onOutcome(o)
+			}
+		}
+		ls.refs += len(batch)
+		now := m.Now()
+		tick(now)
+		for now >= nextEpoch {
+			if err := epoch(now); err != nil {
+				return ls, err
+			}
+			nextEpoch += cfg.EpochNS
+			for coalesce && nextEpoch <= now {
+				nextEpoch += cfg.EpochNS
+			}
+		}
+	}
+	return ls, nil
 }
 
 // Run executes the configured number of references, harvesting epochs
@@ -179,65 +278,30 @@ func New(cfg Config, w workload.Workload) (*Runner, error) {
 // the collected result.
 func (r *Runner) Run(hooks Hooks) (Result, error) {
 	res := Result{Workload: r.Workload.Name()}
-	buf := make([]trace.Ref, r.cfg.BatchSize)
-	// Under fault injection every epoch must leave placement state
-	// conserved; the checker is pure observation, so checked and
-	// unchecked runs produce the same bytes.
-	var inv *invariant.Checker
-	if r.cfg.Invariants || r.cfg.Faults.Enabled() {
-		inv = invariant.New()
-	}
-	check := func() error {
-		if inv == nil {
-			return nil
-		}
-		return inv.Check(r.Machine.Phys, r.Machine.Tables(), nil)
-	}
-	nextEpoch := r.cfg.EpochNS
-	executed := 0
-	for executed < r.cfg.TotalRefs {
-		n := r.cfg.BatchSize
-		if remain := r.cfg.TotalRefs - executed; remain < n {
-			n = remain
-		}
-		batch := buf[:n]
-		r.Workload.Fill(batch)
-		for i := range batch {
-			o, err := r.Machine.Execute(batch[i])
-			if err != nil {
-				return res, fmt.Errorf("sim: executing ref %d: %w", executed+i, err)
-			}
-			if hooks.OnOutcome != nil {
-				hooks.OnOutcome(o)
-			}
-		}
-		executed += n
-		now := r.Machine.Now()
-		r.Profiler.Tick(now)
-		for now >= nextEpoch {
-			ep := r.Profiler.HarvestEpoch()
-			res.Epochs = append(res.Epochs, ep)
-			if hooks.OnEpoch != nil {
-				hooks.OnEpoch(ep)
-			}
-			if err := check(); err != nil {
-				return res, fmt.Errorf("sim: epoch %d: %w", len(res.Epochs)-1, err)
-			}
-			nextEpoch += r.cfg.EpochNS
-		}
-	}
-	// Final partial epoch.
-	ep := r.Profiler.HarvestEpoch()
-	if len(ep.Pages) > 0 {
+	deliver := func(ep core.EpochStats) {
 		res.Epochs = append(res.Epochs, ep)
 		if hooks.OnEpoch != nil {
 			hooks.OnEpoch(ep)
 		}
 	}
-	if err := check(); err != nil {
+	ls, err := r.drive(hooks.OnOutcome, r.Profiler.Tick, false, func(int64) error {
+		deliver(r.Profiler.HarvestEpoch())
+		if err := r.check(nil); err != nil {
+			return fmt.Errorf("sim: epoch %d: %w", len(res.Epochs)-1, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return res, err
+	}
+	// Final partial epoch.
+	if ep := r.Profiler.HarvestEpoch(); len(ep.Pages) > 0 {
+		deliver(ep)
+	}
+	if err := r.check(nil); err != nil {
 		return res, fmt.Errorf("sim: final epoch: %w", err)
 	}
-	res.Refs = executed
+	res.Refs = ls.refs
 	res.DurationNS = r.Machine.Now()
 	res.NumCores = len(r.Machine.Cores())
 	res.IBSOverheadNS, res.AbitOverheadNS, res.HWPCOverheadNS = r.Profiler.OverheadNS()
