@@ -75,100 +75,90 @@ type Stats struct {
 	PrefetchHits uint64 // demand hits on lines brought in by the prefetcher
 }
 
-type way struct {
-	tag        uint64
-	lru        uint64
-	valid      bool
-	dirty      bool
-	prefetched bool // line was filled by the prefetcher and not yet demanded
-}
+// Per-way flag bits.
+const (
+	flagDirty      uint8 = 1 << iota
+	flagPrefetched       // line was filled by the prefetcher and not yet demanded
+)
 
+// level is one set-associative cache array, stored flat: set s owns
+// ways [s*ways, (s+1)*ways) of every per-way array. A tag holds
+// line+1, so 0 marks an empty way and a probe is one compare.
 type level struct {
-	sets  [][]way
+	tags  []uint64
+	flags []uint8
+	lru   []uint64
+	ways  int
 	mask  uint64
-	shift uint // set-index shift (LineShift)
 	stamp uint64
 	stats Stats
 }
 
 func newLevel(c Config) *level {
-	sets := c.Lines() / c.Ways
-	l := &level{sets: make([][]way, sets), mask: uint64(sets - 1), shift: LineShift}
-	for i := range l.sets {
-		l.sets[i] = make([]way, c.Ways)
+	lines := c.Lines()
+	return &level{
+		tags:  make([]uint64, lines),
+		flags: make([]uint8, lines),
+		lru:   make([]uint64, lines),
+		ways:  c.Ways,
+		mask:  uint64(lines/c.Ways - 1),
 	}
-	return l
+}
+
+// find returns the way holding line, or -1, without touching LRU or
+// stats.
+func (l *level) find(line uint64) int {
+	base := int(line&l.mask) * l.ways
+	tag := line + 1
+	for i, t := range l.tags[base : base+l.ways] {
+		if t == tag {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // lookup probes for the line; on a hit it refreshes LRU and clears the
-// prefetched flag (returning whether it had been set).
-func (l *level) lookup(line uint64) (hit, wasPrefetch bool) {
-	set := l.sets[line&l.mask]
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			l.stamp++
-			set[i].lru = l.stamp
-			wasPrefetch = set[i].prefetched
-			set[i].prefetched = false
-			l.stats.Hits++
-			if wasPrefetch {
-				l.stats.PrefetchHits++
-			}
-			return true, wasPrefetch
-		}
+// prefetched flag (returning whether it had been set). It returns the
+// way, or -1 on a miss.
+func (l *level) lookup(line uint64) (w int, wasPrefetch bool) {
+	w = l.find(line)
+	if w < 0 {
+		l.stats.Misses++
+		return -1, false
 	}
-	l.stats.Misses++
-	return false, false
+	l.stamp++
+	l.lru[w] = l.stamp
+	wasPrefetch = l.flags[w]&flagPrefetched != 0
+	l.flags[w] &^= flagPrefetched
+	l.stats.Hits++
+	if wasPrefetch {
+		l.stats.PrefetchHits++
+	}
+	return w, wasPrefetch
 }
 
 // contains probes without updating LRU or stats.
-func (l *level) contains(line uint64) bool {
-	set := l.sets[line&l.mask]
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			return true
-		}
-	}
-	return false
-}
+func (l *level) contains(line uint64) bool { return l.find(line) >= 0 }
 
-// fill installs the line, returning the evicted victim line and whether
-// a valid victim existed.
-func (l *level) fill(line uint64, dirty, prefetched bool) (victim uint64, evicted bool) {
-	set := l.sets[line&l.mask]
-	v := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			// Already present (e.g. prefetch raced demand): refresh.
-			if dirty {
-				set[i].dirty = true
-			}
-			return 0, false
+// fill installs a line the level does not hold into the set's first
+// empty way, or else its least recently used one. Lines never leave a
+// level except by replacement, so an empty way was never filled and
+// still has stamp 0, below every filled way's: the first way with the
+// smallest stamp is exactly that choice.
+func (l *level) fill(line uint64, flags uint8) {
+	base := int(line&l.mask) * l.ways
+	lru := l.lru[base : base+l.ways]
+	v, oldest := 0, lru[0]
+	for i, stamp := range lru {
+		if stamp < oldest {
+			v, oldest = i, stamp
 		}
 	}
-	for i := range set {
-		if !set[i].valid {
-			v = i
-			break
-		}
-		if set[i].lru < set[v].lru {
-			v = i
-		}
-	}
-	old := set[v]
 	l.stamp++
-	set[v] = way{tag: line, lru: l.stamp, valid: true, dirty: dirty, prefetched: prefetched}
-	return old.tag, old.valid
-}
-
-func (l *level) setDirty(line uint64) {
-	set := l.sets[line&l.mask]
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			set[i].dirty = true
-			return
-		}
-	}
+	l.tags[base+v] = line + 1
+	l.flags[base+v] = flags
+	lru[v] = l.stamp
 }
 
 // Hierarchy is one core's L1/L2 plus a shared LLC. Multiple cores
@@ -245,25 +235,29 @@ func (h *Hierarchy) Access(paddr uint64, ip uint64, isStore bool) Result {
 }
 
 func (h *Hierarchy) access(line uint64, isStore bool) Result {
-	if hit, pf := h.l1.lookup(line); hit {
+	var l1Flags uint8 // a store dirties the line in L1 only
+	if isStore {
+		l1Flags = flagDirty
+	}
+	if w, pf := h.l1.lookup(line); w >= 0 {
 		if isStore {
-			h.l1.setDirty(line)
+			h.l1.flags[w] |= flagDirty
 		}
 		return Result{Level: HitL1, PrefetchHit: pf}
 	}
-	if hit, pf := h.l2.lookup(line); hit {
-		h.l1.fill(line, isStore, false)
+	if w, pf := h.l2.lookup(line); w >= 0 {
+		h.l1.fill(line, l1Flags)
 		return Result{Level: HitL2, PrefetchHit: pf}
 	}
-	if hit, pf := h.llc.lvl.lookup(line); hit {
-		h.l2.fill(line, false, false)
-		h.l1.fill(line, isStore, false)
+	if w, pf := h.llc.lvl.lookup(line); w >= 0 {
+		h.l2.fill(line, 0)
+		h.l1.fill(line, l1Flags)
 		return Result{Level: HitLLC, PrefetchHit: pf}
 	}
 	// Memory access; fill inclusively.
-	h.llc.lvl.fill(line, false, false)
-	h.l2.fill(line, false, false)
-	h.l1.fill(line, isStore, false)
+	h.llc.lvl.fill(line, 0)
+	h.l2.fill(line, 0)
+	h.l1.fill(line, l1Flags)
 	return Result{Level: MissAll}
 }
 
@@ -273,8 +267,8 @@ func (h *Hierarchy) prefetchFill(line uint64) {
 	if h.l1.contains(line) || h.l2.contains(line) || h.llc.lvl.contains(line) {
 		return
 	}
-	h.llc.lvl.fill(line, false, true)
-	h.l2.fill(line, false, true)
+	h.llc.lvl.fill(line, flagPrefetched)
+	h.l2.fill(line, flagPrefetched)
 	if h.pf != nil {
 		h.pf.Issued++
 	}

@@ -175,6 +175,12 @@ type Machine struct {
 	coreOf    map[int]int // pid -> core index
 	nextCore  int
 	opsPerRef int
+	// pids caches each seen PID's core and table for Execute, indexed
+	// by PID; the maps above stay the source of truth.
+	pids []pidSlot
+	// readLat and writeLat are each tier's base memory latency,
+	// indexed by TierID.
+	readLat, writeLat []int64
 
 	fault     FaultHandler
 	hugeHint  HugeHint
@@ -192,6 +198,17 @@ type Machine struct {
 	// HintFaults counts AutoNUMA PROT_NONE faults taken.
 	HintFaults uint64
 }
+
+// pidSlot is one PID's entry in Machine.pids; a nil core marks a PID
+// Execute has not seen yet.
+type pidSlot struct {
+	core  *Core
+	table *pagetable.Table
+}
+
+// maxDensePID bounds Machine.pids; Execute resolves larger PIDs
+// through the maps on every reference.
+const maxDensePID = 1 << 16
 
 // NewMachine builds the system. tiers describes physical memory.
 func NewMachine(cfg Config, tiers []mem.TierSpec) (*Machine, error) {
@@ -222,6 +239,11 @@ func NewMachine(cfg Config, tiers []mem.TierSpec) (*Machine, error) {
 		softDiv:   softDiv,
 	}
 	m.fault = m.defaultFault
+	for t := 0; t < phys.Tiers(); t++ {
+		spec := phys.TierSpecOf(mem.TierID(t))
+		m.readLat = append(m.readLat, spec.ReadLatency)
+		m.writeLat = append(m.writeLat, spec.WriteLatency)
+	}
 	for i := 0; i < cfg.Cores; i++ {
 		var pf *cache.Prefetcher
 		if cfg.PrefetchDegree > 0 {
@@ -373,16 +395,31 @@ func (m *Machine) FlushPage(vpn mem.VPN) int64 {
 // owns its PID and returns the outcome. The returned pointer is reused
 // by the next Execute call on the same core.
 func (m *Machine) Execute(r trace.Ref) (*trace.Outcome, error) {
-	core := m.CoreFor(r.PID)
-	return core.execute(r)
+	if uint(r.PID) < uint(len(m.pids)) {
+		if s := &m.pids[r.PID]; s.core != nil {
+			return s.core.execute(r, s.table)
+		}
+	}
+	core, table := m.CoreFor(r.PID), m.Table(r.PID)
+	if r.PID >= 0 && r.PID < maxDensePID {
+		if r.PID >= len(m.pids) {
+			m.pids = append(m.pids, make([]pidSlot, r.PID+1-len(m.pids))...)
+		}
+		m.pids[r.PID] = pidSlot{core: core, table: table}
+	}
+	return core.execute(r, table)
 }
 
 // execute performs translation, cache access, accounting, and
-// observer notification for one reference.
-func (c *Core) execute(r trace.Ref) (*trace.Outcome, error) {
+// observer notification for one reference of the process whose page
+// table is table.
+func (c *Core) execute(r trace.Ref, table *pagetable.Table) (*trace.Outcome, error) {
 	m := c.machine
 	o := &c.outcome
-	*o = trace.Outcome{Ref: r, CPU: c.ID}
+	// Clear, then set: assigning a composite literal would build it in
+	// a temporary and copy that.
+	*o = trace.Outcome{}
+	o.Ref, o.CPU = r, c.ID
 	isStore := r.Kind == trace.Store
 	lat := int64(LatBaseOp)
 
@@ -399,7 +436,6 @@ func (c *Core) execute(r trace.Ref) (*trace.Outcome, error) {
 	}
 
 	vpn := mem.VPNOf(r.VAddr)
-	table := m.Table(r.PID)
 
 	var pfn mem.PFN
 	entry, tlbLevel := c.TLB.Lookup(vpn)
@@ -480,10 +516,9 @@ func (c *Core) execute(r trace.Ref) (*trace.Outcome, error) {
 		c.PMU.Add(pmu.EvL1Miss, 1)
 		c.PMU.Add(pmu.EvL2Miss, 1)
 	case cache.MissAll:
-		spec := m.Phys.TierSpecOf(pd.Tier)
-		memLat := spec.ReadLatency
+		memLat := m.readLat[pd.Tier]
 		if isStore {
-			memLat = spec.WriteLatency
+			memLat = m.writeLat[pd.Tier]
 		}
 		if m.latAdjust != nil {
 			memLat = m.latAdjust(c.ID, pd.Tier, memLat)

@@ -454,3 +454,85 @@ func TestObserverSeesDirtySetOnce(t *testing.T) {
 		t.Errorf("DirtySet events = %d, want exactly 1", dirtySets)
 	}
 }
+
+// TestMemoryMissChargesTierLatencyByKind runs on a three-tier chain
+// with distinct read and write latencies per tier: a load that misses
+// every cache level costs exactly one op plus the serving tier's
+// ReadLatency, a store exactly one op plus its WriteLatency, and the
+// latency adjuster sees that same base value.
+func TestMemoryMissChargesTierLatencyByKind(t *testing.T) {
+	tiers := []mem.TierSpec{
+		{Name: "dram", Frames: 4, ReadLatency: 80, WriteLatency: 90},
+		{Name: "cxl", Frames: 4, ReadLatency: 150, WriteLatency: 170},
+		{Name: "nvm", Frames: 4, ReadLatency: 320, WriteLatency: 640},
+	}
+	m, err := NewMachine(testConfig(), tiers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Page p of the process lives in tier p.
+	m.SetFaultHandler(func(pid int, vpn mem.VPN, write bool) (mem.PFN, error) {
+		return m.Phys.Alloc(mem.TierID(vpn%4), pid, vpn)
+	})
+	var seen int64
+	m.SetLatencyAdjuster(func(coreID int, tier mem.TierID, base int64) int64 {
+		seen = base
+		return base
+	})
+	for tier, spec := range tiers {
+		for _, isStore := range []bool{false, true} {
+			page := uint64(tier) << mem.PageShift
+			if isStore {
+				page += 4 << mem.PageShift // vpn 4..6: same tiers, fresh pages
+			}
+			ref := load
+			want := spec.ReadLatency
+			if isStore {
+				ref, want = store, spec.WriteLatency
+			}
+			// First touch faults and maps; a store leaves the
+			// translation dirty, so the second reference, to another
+			// line of the page, hits the TLB without a walk and misses
+			// every cache level.
+			if _, err := m.Execute(ref(1, page)); err != nil {
+				t.Fatal(err)
+			}
+			o, err := m.Execute(ref(1, page+cache.LineSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.TLBMiss || o.PageWalk || o.Source == trace.SrcL1 || o.Source == trace.SrcL2 || o.Source == trace.SrcLLC {
+				t.Fatalf("tier %d store=%v: outcome %+v, want a TLB hit served by memory", tier, isStore, o)
+			}
+			if o.Latency != LatBaseOp+want || seen != want {
+				t.Errorf("tier %d store=%v: latency %d (adjuster saw %d), want %d+%d",
+					tier, isStore, o.Latency, seen, LatBaseOp, want)
+			}
+		}
+	}
+}
+
+// TestLargePIDsResolve covers PIDs outside Execute's dense PID cache:
+// they resolve through the maps on every reference, to the same core
+// and page table as CoreFor and Table report.
+func TestLargePIDsResolve(t *testing.T) {
+	m := testMachine(t, 16, 16)
+	for _, pid := range []int{-1, 1 << 20} {
+		if _, err := m.Execute(load(pid, 0x5000)); err != nil {
+			t.Fatal(err)
+		}
+		o, err := m.Execute(load(pid, 0x5008))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.TLBMiss || o.CPU != m.CoreFor(pid).ID {
+			t.Errorf("pid %d: second access %+v, want a TLB hit on core %d", pid, o, m.CoreFor(pid).ID)
+		}
+		if _, _, ok := m.Table(pid).Lookup(mem.VPNOf(0x5000)); !ok {
+			t.Errorf("pid %d: page not mapped in its table", pid)
+		}
+	}
+	if len(m.pids) != 0 {
+		t.Errorf("dense PID cache grew to %d slots for out-of-range PIDs", len(m.pids))
+	}
+}

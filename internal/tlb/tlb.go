@@ -23,8 +23,6 @@ type Entry struct {
 	// entry with Dirty=false must perform a page walk to set the PTE
 	// D bit and then sets Dirty here.
 	Dirty bool
-	valid bool
-	lru   uint64
 }
 
 // Config sizes one TLB level.
@@ -50,12 +48,22 @@ type Stats struct {
 	Misses uint64
 }
 
-// level is one set-associative TLB array.
+// level is one set-associative TLB array, stored flat: set s owns
+// slots [s*ways, (s+1)*ways) of every per-slot array. A lookup scans
+// only the compact tags; the Entry payload and the LRU stamps live in
+// arrays of their own. A slot is valid only while its generation
+// equals the level's, so a full flush is one increment; generation 0
+// marks a slot that was never filled or was flushed by page.
 type level struct {
-	sets  [][]Entry
-	mask  uint64
-	stamp uint64
-	stats Stats
+	tags    []mem.VPN
+	gens    []uint32
+	lru     []uint64
+	entries []Entry
+	ways    int
+	mask    uint64
+	gen     uint32
+	stamp   uint64
+	stats   Stats
 }
 
 func newLevel(c Config) *level {
@@ -63,65 +71,85 @@ func newLevel(c Config) *level {
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("tlb: set count %d must be a power of two", nsets))
 	}
-	l := &level{sets: make([][]Entry, nsets), mask: uint64(nsets - 1)}
-	for i := range l.sets {
-		l.sets[i] = make([]Entry, c.Ways)
+	return &level{
+		tags:    make([]mem.VPN, c.Entries),
+		gens:    make([]uint32, c.Entries),
+		lru:     make([]uint64, c.Entries),
+		entries: make([]Entry, c.Entries),
+		ways:    c.Ways,
+		mask:    uint64(nsets - 1),
+		gen:     1,
 	}
-	return l
 }
 
-func (l *level) lookup(vpn mem.VPN) *Entry {
-	set := l.sets[uint64(vpn)&l.mask]
-	for i := range set {
-		if set[i].valid && set[i].VPN == vpn {
-			l.stamp++
-			set[i].lru = l.stamp
-			l.stats.Hits++
-			return &set[i]
+// find returns the slot holding vpn, or -1, without touching LRU or
+// stats.
+func (l *level) find(vpn mem.VPN) int {
+	base := int(uint64(vpn)&l.mask) * l.ways
+	tags := l.tags[base : base+l.ways]
+	for i, tag := range tags {
+		if tag == vpn && l.gens[base+i] == l.gen {
+			return base + i
 		}
 	}
-	l.stats.Misses++
-	return nil
+	return -1
 }
 
-// insert fills the translation, evicting the LRU way; it returns the
-// evicted entry (valid=false when the victim slot was empty).
-func (l *level) insert(e Entry) Entry {
-	set := l.sets[uint64(e.VPN)&l.mask]
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
+// touch finds vpn and refreshes its LRU stamp, counting a miss when
+// it is absent. Hits are left to the caller, because MarkDirty's
+// refresh is not an access.
+func (l *level) touch(vpn mem.VPN) int {
+	i := l.find(vpn)
+	if i < 0 {
+		l.stats.Misses++
+		return -1
+	}
+	l.stamp++
+	l.lru[i] = l.stamp
+	return i
+}
+
+// insert fills the translation into the set's first invalid slot, or
+// else its least recently used one, and returns the slot.
+func (l *level) insert(e Entry) int {
+	base := int(uint64(e.VPN)&l.mask) * l.ways
+	gens, lru := l.gens[base:base+l.ways], l.lru[base:base+l.ways]
+	v := 0
+	for i, g := range gens {
+		if g != l.gen {
+			v = i
 			break
 		}
-		if set[i].lru < set[victim].lru {
-			victim = i
+		if lru[i] < lru[v] {
+			v = i
 		}
 	}
-	old := set[victim]
 	l.stamp++
-	e.valid = true
-	e.lru = l.stamp
-	set[victim] = e
-	return old
+	gens[v] = l.gen
+	lru[v] = l.stamp
+	v += base
+	l.tags[v] = e.VPN
+	l.entries[v] = e
+	return v
 }
 
 func (l *level) flushPage(vpn mem.VPN) bool {
-	set := l.sets[uint64(vpn)&l.mask]
-	for i := range set {
-		if set[i].valid && set[i].VPN == vpn {
-			set[i].valid = false
-			return true
-		}
+	i := l.find(vpn)
+	if i < 0 {
+		return false
 	}
-	return false
+	l.gens[i] = 0
+	return true
 }
 
+// flushAll invalidates every slot by moving to the next generation.
+// When the counter wraps, every slot is cleared once so that no
+// pre-wrap generation can match again.
 func (l *level) flushAll() {
-	for _, set := range l.sets {
-		for i := range set {
-			set[i].valid = false
-		}
+	l.gen++
+	if l.gen == 0 {
+		clear(l.gens)
+		l.gen = 1
 	}
 }
 
@@ -178,17 +206,15 @@ const (
 // pointer stays valid until the next mutation and allows the core to
 // update the Dirty flag in place.
 func (t *TLB) Lookup(vpn mem.VPN) (*Entry, HitLevel) {
-	if e := t.l1.lookup(vpn); e != nil {
-		return e, HitL1
+	if i := t.l1.touch(vpn); i >= 0 {
+		t.l1.stats.Hits++
+		return &t.l1.entries[i], HitL1
 	}
-	if e := t.l2.lookup(vpn); e != nil {
-		promoted := t.l1.insert(*e)
-		_ = promoted // L1 victims are simply dropped; L2 is inclusive here
-		// Return the L1 copy so Dirty updates land in the closest level.
-		l1e := t.l1.lookup(vpn)
-		// The L1 lookup above counted a hit; undo the double count.
-		t.l1.stats.Hits--
-		return l1e, HitL2
+	if i := t.l2.touch(vpn); i >= 0 {
+		t.l2.stats.Hits++
+		// L1 victims are simply dropped; L2 is inclusive here. Return
+		// the L1 copy so Dirty updates land in the closest level.
+		return &t.l1.entries[t.l1.insert(t.l2.entries[i])], HitL2
 	}
 	return nil, HitNone
 }
@@ -200,28 +226,31 @@ func (t *TLB) Insert(e Entry) {
 }
 
 // MarkDirty updates the dirty flag of a cached translation in both
-// levels (after the walk that set the PTE D bit).
+// levels (after the walk that set the PTE D bit). It refreshes each
+// copy's recency, so the L2 copy of a page stored through L1 stays
+// resident across the next L2 conflict, and counts a miss in a level
+// that no longer holds the page.
 func (t *TLB) MarkDirty(vpn mem.VPN) {
-	if e := t.l1.lookup(vpn); e != nil {
-		e.Dirty = true
-		t.l1.stats.Hits--
+	if i := t.l1.touch(vpn); i >= 0 {
+		t.l1.entries[i].Dirty = true
 	}
-	if e := t.l2.lookup(vpn); e != nil {
-		e.Dirty = true
-		t.l2.stats.Hits--
+	if i := t.l2.touch(vpn); i >= 0 {
+		t.l2.entries[i].Dirty = true
 	}
 }
 
-// FlushPage invalidates one translation (invlpg).
+// FlushPage invalidates one translation (invlpg) in both levels,
+// counting one flushed page when either level held it.
 func (t *TLB) FlushPage(vpn mem.VPN) {
-	if t.l1.flushPage(vpn) || t.l2.flushPage(vpn) {
+	in1 := t.l1.flushPage(vpn)
+	in2 := t.l2.flushPage(vpn)
+	if in1 || in2 {
 		t.FlushedPages++
 	}
-	// Both levels must be cleared even if only one held it.
-	t.l2.flushPage(vpn)
 }
 
-// FlushAll invalidates every translation (CR3 reload / IPI shootdown).
+// FlushAll invalidates every translation (CR3 reload / IPI shootdown)
+// in constant time.
 func (t *TLB) FlushAll() {
 	t.l1.flushAll()
 	t.l2.flushAll()

@@ -162,3 +162,25 @@ func TestInsertThenLookupAlwaysHits(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFlushPageCountsEitherLevel checks that a page held by only one
+// level is flushed there and counted once.
+func TestFlushPageCountsEitherLevel(t *testing.T) {
+	tl := small() // L1: 4 sets x 2 ways; L2: 8 sets x 4 ways
+	tl.Insert(Entry{VPN: 0, PFN: 1})
+	// VPNs 4 and 12 share L1 set 0 with vpn 0 but not its L2 set, so
+	// vpn 0 leaves L1 and stays in L2.
+	tl.Insert(Entry{VPN: 4, PFN: 2})
+	tl.Insert(Entry{VPN: 12, PFN: 3})
+	tl.FlushPage(0)
+	if tl.FlushedPages != 1 {
+		t.Errorf("FlushedPages = %d after flushing an L2-only page, want 1", tl.FlushedPages)
+	}
+	if _, lvl := tl.Lookup(0); lvl != HitNone {
+		t.Errorf("L2-only page survived FlushPage: hit %v", lvl)
+	}
+	tl.FlushPage(0)
+	if tl.FlushedPages != 1 {
+		t.Errorf("FlushedPages = %d after flushing an absent page, want still 1", tl.FlushedPages)
+	}
+}
