@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"tieredmem/internal/core"
+	"tieredmem/internal/cpu"
 	"tieredmem/internal/experiments"
+	"tieredmem/internal/fault/invariant"
 	"tieredmem/internal/ibs"
 	"tieredmem/internal/mem"
 	"tieredmem/internal/policy"
@@ -538,6 +540,85 @@ func BenchmarkHarvestSteadyState(b *testing.B) {
 		// is under measurement.
 		r.Machine.Phys.ForEachAllocated(func(pd *mem.PageDescriptor) { pd.AbitEpoch = 1 })
 		r.Profiler.HarvestEpochInto(&ep)
+	}
+}
+
+// epochCutRig is a steady-state epoch cut on a 3-tier chain with the
+// transactional mover: 4 Ki touched pages, fixed hotness, and two
+// alternating 512-page selections, so every epoch promotes, demotes
+// and adopts shadows. It runs 16 warm-up epochs so the mover's
+// recycled working set has grown.
+func epochCutRig(b *testing.B) (*cpu.Machine, *policy.Mover, func()) {
+	chain, err := mem.ParseTierChain("dram:1024/cxl:2048/nvm:8192")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := cpu.NewMachine(cpu.DefaultConfig(), chain)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const pages = 4096
+	hot := make(map[core.PageKey]uint64, pages)
+	for v := uint64(0); v < pages; v++ {
+		if _, err := m.Execute(trace.Ref{PID: 100, VAddr: v << mem.PageShift, Kind: trace.Load}); err != nil {
+			b.Fatal(err)
+		}
+		hot[core.PageKey{PID: 100, VPN: mem.VPN(v)}] = v%13 + 1
+	}
+	ranks := core.RanksFromMap(hot)
+	var sels [2]policy.Selection
+	for i := range sels {
+		sels[i] = make(policy.Selection, 512)
+		for v := 0; v < 512; v++ {
+			sels[i][core.PageKey{PID: 100, VPN: mem.VPN(i*1536 + 5*v)}] = struct{}{}
+		}
+	}
+	mv := policy.NewMover(m)
+	mv.Transactional = true
+	epoch := 0
+	step := func() {
+		mv.ApplySelection(sels[epoch%2], ranks)
+		epoch++
+	}
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	if mv.RetryQueueLen() != 0 || mv.Promotions == 0 || mv.ShadowHits == 0 {
+		b.Fatalf("rig not in a failure-free migrating steady state: retries %d, promotions %d, shadow hits %d",
+			mv.RetryQueueLen(), mv.Promotions, mv.ShadowHits)
+	}
+	return m, mv, step
+}
+
+// BenchmarkApplySelectionSteadyState measures one placement epoch of
+// the mover once its candidate columns, plan and selection set have
+// grown. The contract is 0 allocs/op; the bench-compare CI job fails
+// the build if this regresses.
+func BenchmarkApplySelectionSteadyState(b *testing.B) {
+	_, _, step := epochCutRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// BenchmarkInvariantCheck measures one epoch's invariant check (the
+// mapping walk plus the fused frame sweep) on the same machine, live
+// shadows included. The contract is 0 allocs/op for a passing check;
+// the bench-compare CI job fails the build if this regresses.
+func BenchmarkInvariantCheck(b *testing.B) {
+	m, mv, _ := epochCutRig(b)
+	c := invariant.New()
+	if err := c.Check(m.Phys, m.Tables(), mv); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Check(m.Phys, m.Tables(), mv); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"tieredmem/internal/cpu"
 	"tieredmem/internal/mem"
 	"tieredmem/internal/trace"
 )
@@ -136,5 +138,62 @@ func TestHarvestEpochIntoZeroAllocs(t *testing.T) {
 	}
 	if len(ep.Pages) != 16 {
 		t.Errorf("steady-state harvest saw %d pages, want 16", len(ep.Pages))
+	}
+}
+
+// TestHarvestEpochKeptHarvests pins HarvestEpoch's copy-out: each kept
+// harvest is exactly sized (len == cap), equals what HarvestEpochInto
+// yields on an identical machine, and is independent — neither a later
+// harvest nor reuse of the profiler's scratch changes an earlier one.
+func TestHarvestEpochKeptHarvests(t *testing.T) {
+	type rig struct {
+		m *cpu.Machine
+		p *Profiler
+	}
+	build := func() rig {
+		m := testMachine(t, 64)
+		p, err := New(smallConfig(), m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Register(1)
+		return rig{m, p}
+	}
+	kept, into := build(), build()
+	var dst EpochStats
+	var harvests, snapshots []EpochStats
+	for epoch := 0; epoch < 6; epoch++ {
+		// A different page set each epoch, so harvests differ in size
+		// and content; epoch 3 sees nothing at all.
+		for _, r := range []rig{kept, into} {
+			for i := uint64(0); epoch != 3 && i < uint64(4+3*epoch); i++ {
+				vaddr := (i*uint64(epoch+1)%40 + 1) * 4096
+				if _, err := r.m.Execute(trace.Ref{PID: 1, VAddr: vaddr, Kind: trace.Store}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.p.Abit.Scan(r.m.Now(), []int{1})
+		}
+		ep := kept.p.HarvestEpoch()
+		into.p.HarvestEpochInto(&dst)
+		if len(ep.Pages) != cap(ep.Pages) {
+			t.Errorf("epoch %d: kept harvest len %d != cap %d", epoch, len(ep.Pages), cap(ep.Pages))
+		}
+		if ep.Epoch != dst.Epoch || !slices.Equal(ep.Pages, dst.Pages) {
+			t.Errorf("epoch %d: HarvestEpoch %+v != HarvestEpochInto %+v", epoch, ep, dst)
+		}
+		if epoch == 3 && ep.Pages != nil {
+			t.Errorf("empty harvest Pages = %#v, want nil", ep.Pages)
+		}
+		if epoch != 3 && len(ep.Pages) == 0 {
+			t.Fatalf("epoch %d harvested nothing; the fixture lost its evidence", epoch)
+		}
+		harvests = append(harvests, ep)
+		snapshots = append(snapshots, EpochStats{Epoch: ep.Epoch, Pages: slices.Clone(ep.Pages)})
+	}
+	for i := range harvests {
+		if harvests[i].Epoch != snapshots[i].Epoch || !slices.Equal(harvests[i].Pages, snapshots[i].Pages) {
+			t.Errorf("kept harvest %d changed after later harvests", i)
+		}
 	}
 }

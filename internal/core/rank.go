@@ -10,7 +10,7 @@ package core
 // same-seed-same-ranks contract tmplint enforces assumes they agree).
 
 import (
-	"sort"
+	"slices"
 
 	"tieredmem/internal/core/pageidx"
 	"tieredmem/internal/mem"
@@ -53,17 +53,21 @@ func RankCmp(ra, rb float64, fastA, fastB bool, ka, kb PageKey) int {
 	return 0
 }
 
-// RankLess is RankCmp as a less-function, for heap and sort.Slice
-// call sites.
+// RankLess is RankCmp as a less-function, for heap call sites.
 func RankLess(ra, rb float64, fastA, fastB bool, ka, kb PageKey) bool {
 	return RankCmp(ra, rb, fastA, fastB, ka, kb) < 0
 }
 
-// ColdestLess orders coldest-first with the same canonical (PID, VPN)
-// tie-break; the mover demotes in this order. Implemented as RankLess
+// ColdestCmp orders coldest-first with the same canonical (PID, VPN)
+// tie-break; the mover demotes in this order. Implemented as RankCmp
 // with the ranks swapped so the two orders can never drift.
+func ColdestCmp(ra, rb uint64, ka, kb PageKey) int {
+	return RankCmp(float64(rb), float64(ra), false, false, ka, kb)
+}
+
+// ColdestLess is ColdestCmp as a less-function.
 func ColdestLess(ra, rb uint64, ka, kb PageKey) bool {
-	return RankLess(float64(rb), float64(ra), false, false, ka, kb)
+	return ColdestCmp(ra, rb, ka, kb) < 0
 }
 
 // statCmp applies RankCmp to two PageStats under a method.
@@ -85,8 +89,20 @@ func statLess(a, b *PageStat, m Method) bool { return statCmp(a, b, m) < 0 }
 // place and the result aliases its prefix. k >= len(s) degrades to
 // the full sort.
 func TopKFunc[T any](s []T, k int, less func(a, b T) bool) []T {
+	// slices.SortFunc and sort.Slice run the same pdqsort and consult
+	// the comparator only as "< 0", so this sorts exactly as
+	// sort.Slice with less did, without its reflection-based swapper.
+	cmp := func(a, b T) int {
+		if less(a, b) {
+			return -1
+		}
+		if less(b, a) {
+			return 1
+		}
+		return 0
+	}
 	if k >= len(s) {
-		sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
+		slices.SortFunc(s, cmp)
 		return s
 	}
 	if k <= 0 {
@@ -102,7 +118,7 @@ func TopKFunc[T any](s []T, k int, less func(a, b T) bool) []T {
 			siftDown(h, 0, less)
 		}
 	}
-	sort.Slice(h, func(i, j int) bool { return less(h[i], h[j]) })
+	slices.SortFunc(h, cmp)
 	return h
 }
 
@@ -158,7 +174,7 @@ func TopK(stats EpochStats, m Method, k int) []PageStat {
 			siftDown(h, 0, less)
 		}
 	}
-	sort.Slice(h, func(i, j int) bool { return statLess(&h[i], &h[j], m) })
+	slices.SortFunc(h, func(a, b PageStat) int { return statCmp(&a, &b, m) })
 	return h
 }
 
@@ -199,17 +215,32 @@ func RanksFromMap(m map[PageKey]uint64) Ranks {
 // RanksOf builds the hotness table for a harvest under a method; the
 // page mover uses it to demote coldest-first.
 func RanksOf(stats EpochStats, m Method) Ranks {
-	tab := pageidx.New(len(stats.Pages), PageKeyHash)
-	ranks := make([]uint64, 0, len(stats.Pages))
+	var r Ranks
+	RanksInto(&r, stats, m)
+	return r
+}
+
+// RanksInto rebuilds dst as the hotness table for a harvest under a
+// method, recycling its interning table and rank column: a caller that
+// keeps one Ranks across epochs (the placement loop) pays no
+// allocation once both have grown to the working set. Earlier copies
+// of dst share its storage and see the new contents.
+func RanksInto(dst *Ranks, stats EpochStats, m Method) {
+	if dst.tab == nil {
+		dst.tab = pageidx.New(len(stats.Pages), PageKeyHash)
+		dst.ranks = make([]uint64, 0, len(stats.Pages))
+	} else {
+		dst.tab.Reset()
+		dst.ranks = dst.ranks[:0]
+	}
 	for i := range stats.Pages {
 		if r := stats.Pages[i].Rank(m); r > 0 {
-			id := tab.Intern(stats.Pages[i].Key)
-			if int(id) == len(ranks) {
-				ranks = append(ranks, r)
+			id := dst.tab.Intern(stats.Pages[i].Key)
+			if int(id) == len(dst.ranks) {
+				dst.ranks = append(dst.ranks, r)
 			} else {
-				ranks[id] = r // duplicate key in a crafted harvest: last wins
+				dst.ranks[id] = r // duplicate key in a crafted harvest: last wins
 			}
 		}
 	}
-	return Ranks{tab: tab, ranks: ranks}
 }

@@ -240,6 +240,9 @@ type Profiler struct {
 	onSample func(s trace.Sample)
 
 	epoch int
+	// harvest is HarvestEpoch's scratch: each kept harvest is copied
+	// out of it at its exact size.
+	harvest EpochStats
 
 	// Telemetry (nil handles no-op when telemetry is off).
 	tel          *telemetry.Tracer
@@ -419,11 +422,19 @@ type EpochStats struct {
 // allocated page's epoch counters, resets them, and advances the epoch
 // index. This is the profiler-policy interface: the policy engine sees
 // ranked pages, not monitoring detail. The returned harvest owns its
-// backing array; callers that drop the harvest every epoch should use
+// backing array, sized exactly (len == cap; nil when no page was
+// seen): the harvest runs into a profiler-owned scratch and is copied
+// out once, so a caller that keeps every harvest (sim.Runner.Run)
+// pays one allocation per epoch instead of append's growth churn.
+// Callers that drop the harvest every epoch should use
 // HarvestEpochInto instead, which recycles one.
 func (p *Profiler) HarvestEpoch() EpochStats {
-	var stats EpochStats
-	p.HarvestEpochInto(&stats)
+	p.HarvestEpochInto(&p.harvest)
+	stats := EpochStats{Epoch: p.harvest.Epoch}
+	if n := len(p.harvest.Pages); n > 0 {
+		stats.Pages = make([]PageStat, n)
+		copy(stats.Pages, p.harvest.Pages)
+	}
 	return stats
 }
 
@@ -435,7 +446,9 @@ func (p *Profiler) HarvestEpoch() EpochStats {
 // allocated-PFN span instead of the two full-descriptor walks the
 // harvest used to make. dst must not be retained across calls by
 // anything downstream; harvests that are kept (sim.Run's Epochs
-// slice) go through HarvestEpoch, which hands out a fresh array.
+// slice) go through HarvestEpoch, which hands out a fresh array. An
+// empty dst is sized once to the allocated-frame count, the most
+// pages a harvest can hold at that point.
 func (p *Profiler) HarvestEpochInto(dst *EpochStats) {
 	p.IBS.FlushAt(p.machine.Now())
 	if p.PML != nil {
@@ -448,6 +461,16 @@ func (p *Profiler) HarvestEpochInto(dst *EpochStats) {
 		p.DevProf.FlushAt(p.machine.Now()) //nolint:errcheck
 	}
 	dst.Epoch = p.epoch
+	if cap(dst.Pages) == 0 {
+		phys := p.machine.Phys
+		used := 0
+		for t := 0; t < phys.Tiers(); t++ {
+			used += phys.UsedFrames(mem.TierID(t))
+		}
+		if used > 0 {
+			dst.Pages = make([]PageStat, 0, used)
+		}
+	}
 	dst.Pages = dst.Pages[:0]
 	p.machine.Phys.ForEachAllocated(func(pd *mem.PageDescriptor) {
 		if pd.AbitEpoch == 0 && pd.TraceEpoch == 0 && pd.WriteEpoch == 0 && pd.DevEpoch == 0 && pd.TrueEpoch == 0 {

@@ -1,6 +1,8 @@
 package invariant
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -153,5 +155,88 @@ func TestCheckMoverCleanCounters(t *testing.T) {
 	}
 	if err := New().Check(phys, tables, mv); err != nil {
 		t.Fatalf("consistent mover counters flagged: %v", err)
+	}
+}
+
+// TestStampWrapClearsOwnership starts the ownership stamp at its
+// maximum: the next Check wraps it, and must clear the marks and
+// restart at 1 rather than reuse stamp 0, which every never-claimed
+// frame holds — that would read all of them as claimed this pass
+// (false duplicate-frame, hidden leaked-frame).
+func TestStampWrapClearsOwnership(t *testing.T) {
+	phys, tables := buildMapped(t, 16)
+	c := New()
+	if err := c.Check(phys, tables, nil); err != nil {
+		t.Fatalf("clean state: %v", err)
+	}
+	// A page mapped after that pass sits on a frame whose mark was
+	// never stamped.
+	fresh, err := phys.AllocIn(mem.SlowTier, 100, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables[100].Map(500, fresh, true)
+	c.stamp = math.MaxUint32
+	if err := c.Check(phys, tables, nil); err != nil {
+		t.Fatalf("clean state after the stamp wrapped: %v", err)
+	}
+	if c.stamp != 1 {
+		t.Errorf("stamp after wrap = %d, want 1", c.stamp)
+	}
+	leaked, err := phys.AllocIn(mem.FastTier, 100, 999)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.stamp = math.MaxUint32
+	err = c.Check(phys, tables, nil)
+	wantViolation(t, err, "leaked-frame")
+	if want := fmt.Sprintf("PFN %d allocated", leaked); !strings.Contains(err.Error(), want) {
+		t.Errorf("leak report %v does not name PFN %d", err, leaked)
+	}
+	if strings.Contains(err.Error(), "duplicate-frame") {
+		t.Errorf("wrapped stamp reported phantom duplicates: %v", err)
+	}
+}
+
+// TestCheckSteadyStateZeroAlloc pins the recycled scratch: once a
+// Checker has sized its buffers on a machine, a passing Check on a
+// 3-tier machine with live shadows allocates nothing.
+func TestCheckSteadyStateZeroAlloc(t *testing.T) {
+	s := newFuzzState(t)
+	c := New()
+	if err := c.Check(s.phys, s.tables, s.mv); err != nil {
+		t.Fatalf("clean state: %v", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.Check(s.phys, s.tables, s.mv); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Check allocates %.1f allocs/op in steady state, want 0", allocs)
+	}
+}
+
+// TestCheckReportsOutOfRangeFields corrupts descriptor fields past
+// their ranges — a tier the chain does not have, shadow links beyond
+// physical memory — which the checker must report, not panic on.
+func TestCheckReportsOutOfRangeFields(t *testing.T) {
+	s := newFuzzState(t)
+	total := mem.PFN(s.phys.TotalFrames())
+	s.phys.Page(s.touched[0]).Tier = 7
+	primary := s.phys.Page(s.touched[3])
+	primary.Flags |= mem.FlagShadowed
+	primary.ShadowLink = total + 5
+	shadow := s.phys.Page(s.touched[1]) // vpn 1's vacated cxl frame
+	shadow.ShadowLink = total + 9
+	err := New().Check(s.phys, s.tables, s.mv)
+	for _, want := range []string{
+		fmt.Sprintf("PFN %d (pid 1 vpn 0x0) claims tier 7 of a 3-tier chain", s.touched[0]),
+		fmt.Sprintf("shadowed primary PFN %d links to PFN %d which holds no shadow", s.touched[3], total+5),
+		fmt.Sprintf("shadow PFN %d links to PFN %d which is not a shadowed primary", s.touched[1], total+9),
+	} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("missing %q in %v", want, err)
+		}
 	}
 }

@@ -232,6 +232,12 @@ func (pm *PhysMem) Page(pfn PFN) *PageDescriptor {
 	return &pm.pds[pfn]
 }
 
+// Descriptors returns the raw descriptor array, indexed by PFN, for
+// whole-machine sweeps that must see every frame whatever the
+// allocator's counters and watermarks say (the invariant checker).
+// Callers read it; they must not modify descriptors through it.
+func (pm *PhysMem) Descriptors() []PageDescriptor { return pm.pds }
+
 // claim marks one frame allocated and initializes its descriptor.
 func (pm *PhysMem) claim(ts *tierState, local int, pid int, vpn VPN) PFN {
 	ts.free[local] = false
@@ -580,21 +586,4 @@ func (pm *PhysMem) reclaimShadowIn(ts *tierState) {
 		return
 	}
 	panic("mem: reclaimShadowIn found no shadow despite shadowCount > 0")
-}
-
-// ForEachShadow invokes fn for every shadow frame, ascending PFN; the
-// invariant checker uses it to verify shadow-frame conservation.
-func (pm *PhysMem) ForEachShadow(fn func(*PageDescriptor)) {
-	for t := range pm.tiers {
-		ts := &pm.tiers[t]
-		if ts.shadowCount == 0 {
-			continue
-		}
-		lo := int(ts.base)
-		for i := lo; i < lo+ts.hiWater; i++ {
-			if pm.pds[i].Flags&FlagShadow != 0 {
-				fn(&pm.pds[i])
-			}
-		}
-	}
 }

@@ -127,3 +127,37 @@ func TestSelectionDeterminism(t *testing.T) {
 		t.Errorf("stateful selection not reproducible:\n%s\n%s", a, b)
 	}
 }
+
+// TestRanksIntoReuseMatchesRanksOf recycles one Ranks across
+// differing tie-heavy harvests (growing, shrinking, empty, with a
+// duplicated key) and every method: after each refill, Get must agree
+// with a fresh RanksOf on every page of the current harvest and of all
+// earlier ones, so no stale rank survives the recycle.
+func TestRanksIntoReuseMatchesRanksOf(t *testing.T) {
+	dup := agreementStats(9)
+	dup.Pages = append(dup.Pages, dup.Pages[4])
+	dup.Pages[len(dup.Pages)-1].Abit += 3 // last one wins
+	harvests := []core.EpochStats{agreementStats(60), agreementStats(7), {}, agreementStats(120), dup, agreementStats(45)}
+	var seen []core.PageKey
+	for _, ep := range harvests {
+		for _, ps := range ep.Pages {
+			seen = append(seen, ps.Key)
+		}
+	}
+	seen = append(seen, core.PageKey{PID: 99, VPN: 1}) // never harvested
+	var reused core.Ranks
+	for _, method := range []core.Method{core.MethodAbit, core.MethodTrace, core.MethodCombined} {
+		for i, ep := range harvests {
+			core.RanksInto(&reused, ep, method)
+			fresh := core.RanksOf(ep, method)
+			if reused.Len() != fresh.Len() {
+				t.Errorf("method=%v harvest %d: Len %d, fresh %d", method, i, reused.Len(), fresh.Len())
+			}
+			for _, k := range seen {
+				if got, want := reused.Get(k), fresh.Get(k); got != want {
+					t.Errorf("method=%v harvest %d: Get(%v) = %d, fresh RanksOf says %d", method, i, k, got, want)
+				}
+			}
+		}
+	}
+}

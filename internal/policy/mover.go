@@ -3,9 +3,10 @@ package policy
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tieredmem/internal/core"
+	"tieredmem/internal/core/pageidx"
 	"tieredmem/internal/cpu"
 	"tieredmem/internal/fault"
 	"tieredmem/internal/mem"
@@ -90,6 +91,15 @@ type Mover struct {
 	// half of AdmissionBudgetNS (see admit).
 	admSpentPromote int64
 	admSpentDemote  int64
+
+	// ApplySelection's working set, truncated and refilled every
+	// epoch so steady-state epochs allocate nothing: the per-tier
+	// candidate columns, the demotion plan, and the selection as a
+	// dense membership set for the resident walk.
+	demoteByTier  [][]demoteCand
+	promoteByTier [][]core.PageKey
+	plan          []int
+	selSet        *pageidx.Table[core.PageKey]
 
 	// faults, when non-nil, can pin pages and fail splits (AllocIn
 	// pressure is injected inside mem.PhysMem).
@@ -481,9 +491,11 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 	// is a promotion candidate one tier up, an unselected page
 	// anywhere above the bottom is demotable one tier down. On a
 	// two-tier machine these columns are exactly the legacy fast-tier
-	// demote list and slow-tier promote list.
-	demoteByTier := make([][]demoteCand, nt)
-	promoteByTier := make([][]core.PageKey, nt)
+	// demote list and slow-tier promote list. Membership goes through
+	// a dense set built from sel once, so each frame costs one
+	// open-addressed probe rather than a map probe.
+	demoteByTier, promoteByTier, plan := mv.columns(nt)
+	selSet := mv.selectionSet(sel)
 	phys.ForEachAllocated(func(pd *mem.PageDescriptor) {
 		if pd.Flags&mem.FlagNonMigratable != 0 {
 			return
@@ -494,7 +506,7 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 				return
 			}
 		}
-		_, selected := sel[key]
+		_, selected := selSet.Lookup(key)
 		switch {
 		case !selected && pd.Tier < last:
 			demoteByTier[pd.Tier] = append(demoteByTier[pd.Tier], demoteCand{key: key, rank: ranks.Get(key)})
@@ -508,6 +520,9 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 	coldest := func(a, b demoteCand) bool {
 		return core.ColdestLess(a.rank, b.rank, a.key, b.key)
 	}
+	coldestCmp := func(a, b demoteCand) int {
+		return core.ColdestCmp(a.rank, b.rank, a.key, b.key)
+	}
 
 	// Plan demotion demand bottom-up: the room tier t must free is
 	// the promotions arriving from t+1 plus the demotions spilling in
@@ -515,7 +530,6 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 	// actually has. The plan is optimistic — failed migrations leave
 	// less room than planned and the shortfall surfaces as capacity
 	// failures that retry next epoch, exactly the two-tier behavior.
-	plan := make([]int, nt)
 	for t := 0; t < nt-1; t++ {
 		incoming := len(promoteByTier[t+1])
 		if t > 0 {
@@ -557,7 +571,7 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 			cand = head[next]
 		} else {
 			if !restSorted {
-				sort.Slice(rest, func(i, j int) bool { return coldest(rest[i], rest[j]) })
+				slices.SortFunc(rest, coldestCmp)
 				restSorted = true
 			}
 			j := next - len(head)
@@ -604,6 +618,37 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 		mv.ctrOverhead.Set(uint64(mv.OverheadNS))
 	}
 	return promoted, demoted
+}
+
+// columns returns the epoch's per-tier candidate columns and demotion
+// plan for an nt-tier chain, emptied but keeping the capacity earlier
+// epochs grew.
+func (mv *Mover) columns(nt int) ([][]demoteCand, [][]core.PageKey, []int) {
+	if len(mv.plan) != nt {
+		mv.demoteByTier = make([][]demoteCand, nt)
+		mv.promoteByTier = make([][]core.PageKey, nt)
+		mv.plan = make([]int, nt)
+	}
+	for t := 0; t < nt; t++ {
+		mv.demoteByTier[t] = mv.demoteByTier[t][:0]
+		mv.promoteByTier[t] = mv.promoteByTier[t][:0]
+	}
+	clear(mv.plan)
+	return mv.demoteByTier, mv.promoteByTier, mv.plan
+}
+
+// selectionSet refills the recycled membership set with sel's keys.
+func (mv *Mover) selectionSet(sel Selection) *pageidx.Table[core.PageKey] {
+	if mv.selSet == nil {
+		mv.selSet = pageidx.New(len(sel), core.PageKeyHash)
+	} else {
+		mv.selSet.Reset()
+	}
+	//tmplint:ordered ids never leave ApplySelection: the set only answers membership
+	for k := range sel {
+		mv.selSet.Intern(k)
+	}
+	return mv.selSet
 }
 
 // chargeDelta charges newly accumulated overhead exactly once.

@@ -242,3 +242,45 @@ func TestChainCascadeMakesRoomBottomUp(t *testing.T) {
 		t.Errorf("Shootdowns = %d, want exactly 1 for the whole cascade", mv.Shootdowns)
 	}
 }
+
+// TestApplySelectionSteadyStateZeroAlloc pins the recycled working
+// set: on a fault-free 3-tier chain with the transactional engine on,
+// once the candidate columns and the selection set have grown, an
+// epoch that migrates pages both ways (and adopts shadows) allocates
+// nothing while the retry queue stays empty.
+func TestApplySelectionSteadyStateZeroAlloc(t *testing.T) {
+	m := chainMachine(t, "dram:8/cxl:16/nvm:32")
+	touchPages(t, m, 1, 40)
+	mv := NewMover(m)
+	mv.Transactional = true
+	hot := map[core.PageKey]uint64{}
+	for v := mem.VPN(0); v < 40; v++ {
+		hot[core.PageKey{PID: 1, VPN: v}] = uint64(v%7 + 1)
+	}
+	ranks := core.RanksFromMap(hot)
+	sels := [2]Selection{selectKeys(0, 1, 2, 3, 30, 31, 32), selectKeys(20, 21, 22, 23, 24, 25, 36)}
+	epoch := 0
+	moved := 0
+	step := func() {
+		p, d := mv.ApplySelection(sels[epoch%2], ranks)
+		moved += p + d
+		epoch++
+	}
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	moved = 0
+	allocs := testing.AllocsPerRun(50, step)
+	if allocs != 0 {
+		t.Errorf("ApplySelection allocates %.1f allocs/op in steady state, want 0", allocs)
+	}
+	if moved == 0 {
+		t.Error("steady-state epochs migrated nothing; the test would pin an idle mover")
+	}
+	if mv.RetryQueueLen() != 0 || mv.Failed != 0 {
+		t.Errorf("retry queue %d, failed %d: want a failure-free steady state", mv.RetryQueueLen(), mv.Failed)
+	}
+	if mv.ShadowHits == 0 {
+		t.Error("no shadow adopted: the transactional fast path went unexercised")
+	}
+}

@@ -235,10 +235,12 @@ func RunPlacement(cfg PlacementConfig, w workload.Workload) (PlacementResult, er
 	}
 
 	pids := w.Processes()
-	// Harvest scratch reused across epochs: the placement loop drops
-	// each harvest after selection, so steady-state epochs run
-	// allocation-free (HarvestEpochInto recycles ep's backing array).
+	// Harvest and rank scratch reused across epochs: the placement
+	// loop drops both after the mover runs, so steady-state harvests
+	// and rank tables allocate nothing (HarvestEpochInto recycles ep's
+	// backing array, RanksInto the table and column).
 	var ep core.EpochStats
+	var ranks core.Ranks
 	tick := func(now int64) {
 		if prof != nil {
 			prof.Tick(now)
@@ -264,7 +266,8 @@ func RunPlacement(cfg PlacementConfig, w workload.Workload) (PlacementResult, er
 					return ok
 				})
 			}
-			promoted, demoted := mover.ApplySelection(sel, core.RanksOf(ep, method))
+			core.RanksInto(&ranks, ep, method)
+			promoted, demoted := mover.ApplySelection(sel, ranks)
 			cfg.Prov.FinishEpoch()
 			if em != nil && promoted+demoted > 0 {
 				extra := em.ChargeMigration(promoted + demoted)
