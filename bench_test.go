@@ -622,6 +622,50 @@ func BenchmarkInvariantCheck(b *testing.B) {
 	}
 }
 
+// descriptorBenchFrames is the machine size of the per-frame
+// benchmarks: 128 Ki frames (512 MiB simulated), 32 Ki of them fast.
+const descriptorBenchFrames = 128 << 10
+
+// physMemSink keeps BenchmarkNewPhysMem's result live.
+var physMemSink *mem.PhysMem
+
+// BenchmarkNewPhysMem measures machine set-up: the page-descriptor
+// array and the per-tier free bitmaps. B/op is the set-up footprint
+// (64 bytes of descriptor plus one bitmap byte per frame); the
+// bench-compare CI job fails the build if it grows.
+func BenchmarkNewPhysMem(b *testing.B) {
+	specs := mem.DefaultTiers(descriptorBenchFrames/4, descriptorBenchFrames*3/4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pm, err := mem.NewPhysMem(specs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		physMemSink = pm
+	}
+}
+
+// BenchmarkResetEpochAll measures one descriptor sweep over a machine
+// whose every frame is allocated: the epoch-horizon reset, and the
+// memory traffic every other per-frame walk pays. The contract is 0
+// allocs/op.
+func BenchmarkResetEpochAll(b *testing.B) {
+	pm, err := mem.NewPhysMem(mem.DefaultTiers(descriptorBenchFrames/4, descriptorBenchFrames*3/4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for v := 0; v < descriptorBenchFrames; v++ {
+		if _, err := pm.Alloc(mem.FastTier, 100, mem.VPN(v)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pm.ResetEpochAll()
+	}
+}
+
 // BenchmarkAblationDeliveryMode compares IBS-style per-sample
 // interrupts against LWP/PEBS-style buffered delivery (§II-B) at the
 // same sampling rate.

@@ -43,3 +43,27 @@ func TestFaultsUnknownSiteIsUsageError(t *testing.T) {
 		}
 	}
 }
+
+// TestTiersOverMaxRejected pins the -tiers bound: a chain deeper than
+// mem.MaxTiers (a TierID is one byte) fails before any run starts, with
+// an error naming the limit.
+func TestTiersOverMaxRejected(t *testing.T) {
+	if os.Getenv("TMPSIM_RUN_MAIN") == "1" {
+		os.Args = []string{"tmpsim", "-tiers", strings.Repeat("dram:1/", 256) + "nvm:1"}
+		main()
+		return // unreachable: fatal exits
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=TestTiersOverMaxRejected")
+	cmd.Env = append(os.Environ(), "TMPSIM_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok {
+		t.Fatalf("want exit error, got %v\noutput:\n%s", err, out)
+	}
+	if code := ee.ExitCode(); code != 1 {
+		t.Errorf("exit code %d, want 1\noutput:\n%s", code, out)
+	}
+	if !strings.Contains(string(out), "chain has 257 tiers: mem: more than 256 tiers") {
+		t.Errorf("output does not name the tier bound:\n%s", out)
+	}
+}

@@ -61,13 +61,13 @@ func main() {
 		for _, n := range perTier {
 			total += n
 		}
-		for t := mem.TierID(0); int(t) <= topo.Sockets; t++ {
+		for t := 0; t <= topo.Sockets; t++ {
 			name := fmt.Sprintf("dram-node%d", t)
-			if t == topo.NVMTier() {
+			if mem.TierID(t) == topo.NVMTier() {
 				name = "nvm-node"
 			}
 			fmt.Printf("  %-11s %6.1f%% of memory accesses\n", name,
-				float64(perTier[t])/float64(total)*100)
+				float64(perTier[mem.TierID(t)])/float64(total)*100)
 		}
 
 		// The profiler is oblivious to the topology: hottest pages

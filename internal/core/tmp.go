@@ -601,7 +601,7 @@ func RankedPages(stats EpochStats, m Method) []PageStat {
 			out = append(out, ps)
 		}
 	}
-	// Sort packed keys, not 48-byte PageStats: a page's position under
+	// Sort packed keys, not 40-byte PageStats: a page's position under
 	// RankCmp is (rank descending, slow-tier bit, PID, VPN), and when
 	// those fields' bit-widths fit one machine word — every realistic
 	// harvest — the whole order packs into a single uint64 per page,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"tieredmem/internal/cache"
 	"tieredmem/internal/cpu"
@@ -11,6 +12,20 @@ import (
 	"tieredmem/internal/tlb"
 	"tieredmem/internal/trace"
 )
+
+// TestPageDescriptorLayout pins the per-frame record to one 64-byte
+// host cache line, like Linux's struct page, and the per-page harvest
+// record built from it to 40 bytes: every per-frame sweep and every
+// kept harvest pays for each byte. A new field must pay for itself by
+// removing another.
+func TestPageDescriptorLayout(t *testing.T) {
+	if got := unsafe.Sizeof(mem.PageDescriptor{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(mem.PageDescriptor{}) = %d, want 64 (one cache line)", got)
+	}
+	if got := unsafe.Sizeof(PageStat{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(PageStat{}) = %d, want 40", got)
+	}
+}
 
 func testMachine(t *testing.T, frames int) *cpu.Machine {
 	t.Helper()

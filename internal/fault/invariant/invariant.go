@@ -284,7 +284,7 @@ func (c *Checker) Check(phys *mem.PhysMem, tables map[int]*pagetable.Table, mv *
 // sweepAllocated checks one allocated frame's tier identity, that some
 // mapping claimed it (when leaks is set), and its shadow link.
 func (c *Checker) sweepAllocated(pds []mem.PageDescriptor, pd *mem.PageDescriptor, leaks bool, stamp uint32) {
-	if pd.Tier < 0 || int(pd.Tier) >= len(c.tierRanges) {
+	if int(pd.Tier) >= len(c.tierRanges) {
 		c.add(bTierMismatch, "tier-mismatch", "PFN %d (pid %d vpn %#x) claims tier %d of a %d-tier chain",
 			pd.Frame, pd.PID, uint64(pd.VPage), pd.Tier, len(c.tierRanges))
 	} else if r := c.tierRanges[pd.Tier]; pd.Frame < r[0] || pd.Frame >= r[1] {
@@ -305,7 +305,7 @@ func (c *Checker) sweepAllocated(pds []mem.PageDescriptor, pd *mem.PageDescripto
 // and checks it backs no mapping and pairs with its primary.
 func (c *Checker) sweepShadow(pds []mem.PageDescriptor, pfn mem.PFN, stamp uint32) {
 	spd := &pds[pfn]
-	if spd.Tier >= 0 && int(spd.Tier) < len(c.shadowSeen) {
+	if int(spd.Tier) < len(c.shadowSeen) {
 		c.shadowSeen[spd.Tier]++
 	}
 	if own := &c.owner[pfn]; own.stamp == stamp {

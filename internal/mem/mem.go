@@ -15,7 +15,13 @@ const (
 
 // TierID identifies a memory tier. Tier 0 is the fast tier ("tier 1
 // memory" in the paper: DRAM); tier 1 is the slow tier ("tier 2": NVM).
-type TierID int
+// It is one byte so the page descriptor fits a cache line; a machine
+// has at most MaxTiers tiers.
+type TierID uint8
+
+// MaxTiers is the most tiers a machine or tier chain may have: every
+// TierID from 0 to 255.
+const MaxTiers = 256
 
 const (
 	// FastTier is DRAM-class memory (the paper's tier 1).
@@ -81,14 +87,17 @@ const (
 
 // PageDescriptor is the per-frame metadata record. TMP accumulates
 // profiling observations here: separate counters for A-bit and
-// trace-based (IBS/PEBS) evidence, split into an all-time total and a
-// current-epoch value that the profiler harvests at each epoch horizon.
+// trace-based (IBS/PEBS) evidence for the current epoch, which the
+// profiler harvests and clears at each epoch horizon.
+//
+// Like Linux's struct page it fits one 64-byte host cache line, so a
+// per-frame sweep touches one line per frame: the 8-byte fields come
+// first, then the five 32-bit epoch counters, then the two bytes of
+// tier and flags (TestPageDescriptorLayout pins the size).
 type PageDescriptor struct {
 	Frame PFN
-	Tier  TierID
 	PID   int // owning process, -1 when free
 	VPage VPN // virtual page currently mapped to this frame
-	Flags PageFlags
 
 	// ShadowLink pairs a shadowed primary with its shadow frame:
 	// on a FlagShadowed frame it names the shadow, on a FlagShadow
@@ -96,32 +105,34 @@ type PageDescriptor struct {
 	// flags is set.
 	ShadowLink PFN
 
-	// Profiling state (the paper's extended struct page).
-	AbitTotal  uint64 // A-bit observations, all time
-	TraceTotal uint64 // IBS/PEBS samples, all time
-	AbitEpoch  uint32 // A-bit observations this epoch
-	TraceEpoch uint32 // trace samples this epoch
-
-	// Write-path profiling state: D-bit-set events logged by the
-	// PML engine (an extension; the paper focuses on the A bit for
-	// performance and mentions PML for write tracking).
-	WriteTotal uint64
-	WriteEpoch uint32
-
-	// Device-side profiling state: accesses observed by a CXL-resident
-	// hot-page tracker (the NeoMem model — counters live on the device
-	// and see physical traffic with zero host sampling cost). Always
-	// zero on frames outside device tiers and in runs without a
-	// devprof tracker.
-	DevTotal uint64
-	DevEpoch uint32
-
 	// Ground truth maintained by the simulator itself (invisible to
 	// any profiling method): demand accesses served from memory, the
 	// quantity the paper's Fig. 6 hitrate and Oracle policy are
-	// defined over.
+	// defined over. TrueTotal is the all-time count; TrueEpoch below
+	// is this epoch's.
 	TrueTotal uint64
+
+	// Profiling state (the paper's extended struct page): A-bit
+	// observations and trace (IBS/PEBS) samples this epoch.
+	AbitEpoch  uint32
+	TraceEpoch uint32
+
+	// Write-path profiling state: D-bit-set events logged by the
+	// PML engine this epoch (an extension; the paper focuses on the A
+	// bit for performance and mentions PML for write tracking).
+	WriteEpoch uint32
+
+	// Device-side profiling state: accesses observed this epoch by a
+	// CXL-resident hot-page tracker (the NeoMem model — counters live
+	// on the device and see physical traffic with zero host sampling
+	// cost). Always zero on frames outside device tiers and in runs
+	// without a devprof tracker.
+	DevEpoch uint32
+
 	TrueEpoch uint32
+
+	Tier  TierID
+	Flags PageFlags
 }
 
 // Hotness returns the current-epoch hotness rank: the paper's simple
@@ -131,18 +142,32 @@ func (pd *PageDescriptor) Hotness() uint64 {
 	return uint64(pd.AbitEpoch) + uint64(pd.TraceEpoch)
 }
 
-// ResetEpoch folds the epoch counters into the totals and zeroes them.
+// ResetEpoch folds the ground-truth epoch count into TrueTotal and
+// zeroes every epoch counter.
 func (pd *PageDescriptor) ResetEpoch() {
-	pd.AbitTotal += uint64(pd.AbitEpoch)
-	pd.TraceTotal += uint64(pd.TraceEpoch)
-	pd.WriteTotal += uint64(pd.WriteEpoch)
-	pd.DevTotal += uint64(pd.DevEpoch)
 	pd.TrueTotal += uint64(pd.TrueEpoch)
 	pd.AbitEpoch = 0
 	pd.TraceEpoch = 0
 	pd.WriteEpoch = 0
 	pd.DevEpoch = 0
 	pd.TrueEpoch = 0
+}
+
+// CopyProfile overwrites pd's profiling state — every epoch counter
+// and TrueTotal — with src's, or clears it when src is nil. It is the
+// one place a frame's evidence changes hands: a claimed frame starts
+// clean, and a page that moves to a new frame (migration, huge-page
+// collapse, shadow adoption) takes its evidence along, because
+// hotness belongs to the logical page, not the frame.
+func (pd *PageDescriptor) CopyProfile(src *PageDescriptor) {
+	if src == nil {
+		pd.TrueTotal = 0
+		pd.AbitEpoch, pd.TraceEpoch, pd.WriteEpoch, pd.DevEpoch, pd.TrueEpoch = 0, 0, 0, 0, 0
+		return
+	}
+	pd.TrueTotal = src.TrueTotal
+	pd.AbitEpoch, pd.TraceEpoch = src.AbitEpoch, src.TraceEpoch
+	pd.WriteEpoch, pd.DevEpoch, pd.TrueEpoch = src.WriteEpoch, src.DevEpoch, src.TrueEpoch
 }
 
 // Allocated reports whether the frame backs a live mapping.

@@ -51,14 +51,47 @@ func TestPageDescriptorHotness(t *testing.T) {
 }
 
 func TestPageDescriptorResetEpoch(t *testing.T) {
-	pd := PageDescriptor{AbitEpoch: 3, TraceEpoch: 5, TrueEpoch: 7,
-		AbitTotal: 10, TraceTotal: 20, TrueTotal: 30}
+	pd := PageDescriptor{AbitEpoch: 3, TraceEpoch: 5, WriteEpoch: 2, DevEpoch: 4, TrueEpoch: 7,
+		TrueTotal: 30}
 	pd.ResetEpoch()
-	if pd.AbitEpoch != 0 || pd.TraceEpoch != 0 || pd.TrueEpoch != 0 {
+	if pd.AbitEpoch != 0 || pd.TraceEpoch != 0 || pd.WriteEpoch != 0 || pd.DevEpoch != 0 || pd.TrueEpoch != 0 {
 		t.Errorf("epoch counters not cleared: %+v", pd)
 	}
-	if pd.AbitTotal != 13 || pd.TraceTotal != 25 || pd.TrueTotal != 37 {
-		t.Errorf("totals not accumulated: %+v", pd)
+	if pd.TrueTotal != 37 {
+		t.Errorf("TrueTotal = %d, want 37 (ground truth folded): %+v", pd.TrueTotal, pd)
+	}
+}
+
+// profiled returns a descriptor whose profiling state is all distinct
+// non-zero values.
+func profiled() PageDescriptor {
+	return PageDescriptor{TrueTotal: 50, AbitEpoch: 3, TraceEpoch: 4, WriteEpoch: 5, DevEpoch: 6, TrueEpoch: 7}
+}
+
+// sameProfile reports whether a and b agree on every field
+// CopyProfile owns.
+func sameProfile(a, b *PageDescriptor) bool {
+	return a.TrueTotal == b.TrueTotal && a.AbitEpoch == b.AbitEpoch && a.TraceEpoch == b.TraceEpoch &&
+		a.WriteEpoch == b.WriteEpoch && a.DevEpoch == b.DevEpoch && a.TrueEpoch == b.TrueEpoch
+}
+
+func TestCopyProfile(t *testing.T) {
+	src := profiled()
+	dst := PageDescriptor{Frame: 9, PID: 2, VPage: 11, ShadowLink: 3, Tier: SlowTier, Flags: FlagAllocated}
+	dst.CopyProfile(&src)
+	if !sameProfile(&dst, &src) {
+		t.Errorf("CopyProfile missed a counter: got %+v from %+v", dst, src)
+	}
+	if dst.Frame != 9 || dst.PID != 2 || dst.VPage != 11 || dst.ShadowLink != 3 || dst.Tier != SlowTier || dst.Flags != FlagAllocated {
+		t.Errorf("CopyProfile touched frame identity: %+v", dst)
+	}
+	dst.CopyProfile(nil)
+	var zero PageDescriptor
+	if !sameProfile(&dst, &zero) {
+		t.Errorf("CopyProfile(nil) left state behind: %+v", dst)
+	}
+	if dst.Frame != 9 || dst.Flags != FlagAllocated {
+		t.Errorf("CopyProfile(nil) touched frame identity: %+v", dst)
 	}
 }
 
@@ -213,12 +246,14 @@ func TestDoubleFreePanics(t *testing.T) {
 	pm.Free(pfn)
 }
 
+// TestAllocResetsProfilingState: a re-claimed frame starts with no
+// evidence. The PML write count used to survive the claim, so a new
+// owner inherited the previous owner's writes.
 func TestAllocResetsProfilingState(t *testing.T) {
 	pm := newTestMem(t, 2, 2)
 	pfn, _ := pm.Alloc(FastTier, 1, 0)
-	pd := pm.Page(pfn)
-	pd.AbitEpoch, pd.TraceEpoch, pd.TrueEpoch = 1, 2, 3
-	pd.AbitTotal, pd.TraceTotal, pd.TrueTotal = 4, 5, 6
+	src := profiled()
+	pm.Page(pfn).CopyProfile(&src)
 	pm.Free(pfn)
 	pfn2, _ := pm.Alloc(FastTier, 2, 7)
 	if pfn2 != pfn {
@@ -226,9 +261,30 @@ func TestAllocResetsProfilingState(t *testing.T) {
 		pm.Free(pfn2)
 		pfn2, _ = pm.Alloc(FastTier, 2, 7)
 	}
-	pd2 := pm.Page(pfn2)
-	if pd2.AbitEpoch != 0 || pd2.TraceTotal != 0 || pd2.TrueTotal != 0 {
+	if pfn2 != pfn {
+		t.Fatalf("frame %d never re-claimed (got %d)", pfn, pfn2)
+	}
+	var zero PageDescriptor
+	if pd2 := pm.Page(pfn2); !sameProfile(pd2, &zero) {
 		t.Errorf("profiling state leaked across allocations: %+v", pd2)
+	}
+}
+
+// TestAdoptShadowCarriesProfile: adopting a shadow makes it the page's
+// primary frame, with the page's full evidence.
+func TestAdoptShadowCarriesProfile(t *testing.T) {
+	pm := newTestMem(t, 4, 4)
+	slow, _ := pm.AllocIn(SlowTier, 1, 5)
+	fast, _ := pm.AllocIn(FastTier, 1, 5)
+	pm.MakeShadow(slow, fast)
+	src := profiled()
+	pm.Page(fast).CopyProfile(&src)
+	adopted := pm.AdoptShadow(fast)
+	if adopted != slow {
+		t.Fatalf("AdoptShadow = %d, want the shadow frame %d", adopted, slow)
+	}
+	if pd := pm.Page(adopted); !pd.Allocated() || !sameProfile(pd, &src) {
+		t.Errorf("adopted frame lost profiling state: %+v, want counters of %+v", pd, src)
 	}
 }
 
@@ -352,9 +408,9 @@ func TestResetEpochAll(t *testing.T) {
 	pm := newTestMem(t, 4, 4)
 	pfn, _ := pm.Alloc(FastTier, 1, 0)
 	pd := pm.Page(pfn)
-	pd.AbitEpoch = 5
+	pd.AbitEpoch, pd.TrueEpoch = 5, 6
 	pm.ResetEpochAll()
-	if pd.AbitEpoch != 0 || pd.AbitTotal != 5 {
+	if pd.AbitEpoch != 0 || pd.TrueEpoch != 0 || pd.TrueTotal != 6 {
 		t.Errorf("ResetEpochAll: %+v", pd)
 	}
 }

@@ -19,6 +19,10 @@ var ErrNoContiguous = errors.New("mem: no contiguous frame run for huge page")
 // ErrNoTiers rejects a PhysMem configured with zero tiers.
 var ErrNoTiers = errors.New("mem: at least one tier required")
 
+// ErrTooManyTiers rejects a machine or tier chain with more than
+// MaxTiers tiers: a TierID is one byte.
+var ErrTooManyTiers = errors.New("mem: more than 256 tiers")
+
 // Typed sentinel errors for the migration paths: callers branch with
 // errors.Is to decide whether a failure is transient (worth a deferred
 // retry) or permanent (drop the migration). Every error carries
@@ -157,6 +161,9 @@ func NewPhysMem(specs []TierSpec) (*PhysMem, error) {
 	if len(specs) == 0 {
 		return nil, ErrNoTiers
 	}
+	if len(specs) > MaxTiers {
+		return nil, fmt.Errorf("mem: %d tiers: %w", len(specs), ErrTooManyTiers)
+	}
 	total := 0
 	for _, s := range specs {
 		if err := s.Validate(); err != nil {
@@ -252,10 +259,7 @@ func (pm *PhysMem) claim(ts *tierState, local int, pid int, vpn VPN) PFN {
 	pd.VPage = vpn
 	pd.Flags = FlagAllocated
 	pd.ShadowLink = 0
-	pd.AbitTotal, pd.TraceTotal = 0, 0
-	pd.AbitEpoch, pd.TraceEpoch = 0, 0
-	pd.DevTotal, pd.DevEpoch = 0, 0
-	pd.TrueTotal, pd.TrueEpoch = 0, 0
+	pd.CopyProfile(nil)
 	pm.ctrAlloc.Add(1)
 	return pfn
 }
@@ -515,11 +519,7 @@ func (pm *PhysMem) AdoptShadow(pfn PFN) PFN {
 	spd.VPage = pd.VPage
 	spd.Flags = FlagAllocated | (pd.Flags & FlagPoisoned)
 	spd.ShadowLink = 0
-	spd.AbitTotal, spd.TraceTotal = pd.AbitTotal, pd.TraceTotal
-	spd.AbitEpoch, spd.TraceEpoch = pd.AbitEpoch, pd.TraceEpoch
-	spd.WriteTotal, spd.WriteEpoch = pd.WriteTotal, pd.WriteEpoch
-	spd.DevTotal, spd.DevEpoch = pd.DevTotal, pd.DevEpoch
-	spd.TrueTotal, spd.TrueEpoch = pd.TrueTotal, pd.TrueEpoch
+	spd.CopyProfile(pd)
 	pd.Flags &^= FlagShadowed
 	pd.ShadowLink = 0
 	ts := &pm.tiers[spd.Tier]

@@ -136,11 +136,7 @@ func (c *Collapser) collapseOne(cand chunk) bool {
 		old, _ := table.Frame(vpn)
 		oldPFNs[i] = old
 		oldPD := phys.Page(old)
-		newPD := phys.Page(newBase + mem.PFN(i))
-		newPD.AbitTotal, newPD.TraceTotal = oldPD.AbitTotal, oldPD.TraceTotal
-		newPD.AbitEpoch, newPD.TraceEpoch = oldPD.AbitEpoch, oldPD.TraceEpoch
-		newPD.WriteTotal, newPD.WriteEpoch = oldPD.WriteTotal, oldPD.WriteEpoch
-		newPD.TrueTotal, newPD.TrueEpoch = oldPD.TrueTotal, oldPD.TrueEpoch
+		phys.Page(newBase + mem.PFN(i)).CopyProfile(oldPD)
 		table.Unmap(vpn)
 	}
 	table.MapHuge(cand.base, newBase, true)

@@ -29,6 +29,8 @@ func TestCollapserRebuildsSplitHugePage(t *testing.T) {
 	// Mark some profiling state to verify preservation.
 	pfn3, _ := m.Table(1).Frame(3)
 	m.Phys.Page(pfn3).AbitEpoch = 7
+	pfn5, _ := m.Table(1).Frame(5)
+	m.Phys.Page(pfn5).CopyProfile(&fullProfile)
 
 	kc := NewCollapser(m)
 	n := kc.Collapse([]int{1}, 10)
@@ -53,6 +55,10 @@ func TestCollapserRebuildsSplitHugePage(t *testing.T) {
 	if m.Phys.Page(newPFN3).AbitEpoch != 7 {
 		t.Errorf("profiling state lost in collapse")
 	}
+	// Every counter survives, the device count included (collapse
+	// used to drop it).
+	newPFN5, _ := m.Table(1).Frame(5)
+	checkFullProfile(t, "collapse", m.Phys.Page(newPFN5))
 	// The chunk must still be usable.
 	if _, err := m.Execute(trace.Ref{PID: 1, VAddr: 7 * 4096, Kind: trace.Store}); err != nil {
 		t.Fatalf("access after collapse: %v", err)

@@ -270,10 +270,7 @@ func (mv *Mover) migrate(key core.PageKey, target mem.TierID) error {
 	// Preserve accumulated profiling state across the move: hotness
 	// belongs to the logical page, not the frame.
 	newPD := phys.Page(newPFN)
-	newPD.AbitTotal, newPD.TraceTotal = oldPD.AbitTotal, oldPD.TraceTotal
-	newPD.AbitEpoch, newPD.TraceEpoch = oldPD.AbitEpoch, oldPD.TraceEpoch
-	newPD.DevTotal, newPD.DevEpoch = oldPD.DevTotal, oldPD.DevEpoch
-	newPD.TrueTotal, newPD.TrueEpoch = oldPD.TrueTotal, oldPD.TrueEpoch
+	newPD.CopyProfile(oldPD)
 	newPD.Flags |= oldPD.Flags & mem.FlagPoisoned
 	if !table.Remap(key.VPN, newPFN) {
 		phys.Free(newPFN)
@@ -589,9 +586,9 @@ func (mv *Mover) ApplySelection(sel Selection, ranks core.Ranks) (int, int) {
 	// column climbing one tier. The demotions planned room in the
 	// destination tiers; when it fell short the capacity failure
 	// defers the climb to the next epoch.
-	for t := mem.TierID(1); t <= last; t++ {
+	for t := 1; t < nt; t++ {
 		for _, key := range promoteByTier[t] {
-			if mv.tryMove(key, true, t-1) {
+			if mv.tryMove(key, true, mem.TierID(t-1)) {
 				promoted++
 			}
 		}

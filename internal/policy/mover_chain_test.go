@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"strings"
 	"testing"
 
 	"tieredmem/internal/cache"
@@ -282,5 +283,26 @@ func TestApplySelectionSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if mv.ShadowHits == 0 {
 		t.Error("no shadow adopted: the transactional fast path went unexercised")
+	}
+}
+
+// TestChainMaxDepthTerminates runs an epoch on the deepest legal chain
+// (mem.MaxTiers tiers). The slowest tier's ID is 255, the largest a
+// one-byte TierID holds, so a tier loop that counts a TierID up to it
+// would wrap to 0 and never end.
+func TestChainMaxDepthTerminates(t *testing.T) {
+	spec := strings.Repeat("dram:1/", mem.MaxTiers-1) + "nvm:2"
+	m := chainMachine(t, spec)
+	touchPages(t, m, 1, mem.MaxTiers) // vpn i in tier i
+	mv := NewMover(m)
+	promoted, demoted := mv.ApplySelection(selectKeys(mem.MaxTiers-1), core.Ranks{})
+	if promoted != 1 || demoted != 1 {
+		t.Fatalf("promoted, demoted = %d, %d; want 1, 1", promoted, demoted)
+	}
+	if got := tierOf(t, m, 1, mem.MaxTiers-1); got != mem.MaxTiers-2 {
+		t.Errorf("selected page in tier %d, want %d", got, mem.MaxTiers-2)
+	}
+	if got := tierOf(t, m, 1, mem.MaxTiers-2); got != mem.MaxTiers-1 {
+		t.Errorf("displaced page in tier %d, want %d", got, mem.MaxTiers-1)
 	}
 }

@@ -94,6 +94,38 @@ func TestMoverDemotesColdestFirst(t *testing.T) {
 	}
 }
 
+// fullProfile is profiling state with every counter CopyProfile owns
+// set to a distinct non-zero value.
+var fullProfile = mem.PageDescriptor{TrueTotal: 50, AbitEpoch: 3, TraceEpoch: 4, WriteEpoch: 5, DevEpoch: 6, TrueEpoch: 7}
+
+// checkFullProfile fails the test unless pd carries fullProfile.
+func checkFullProfile(t *testing.T, what string, pd *mem.PageDescriptor) {
+	t.Helper()
+	w := &fullProfile
+	if pd.TrueTotal != w.TrueTotal || pd.AbitEpoch != w.AbitEpoch || pd.TraceEpoch != w.TraceEpoch ||
+		pd.WriteEpoch != w.WriteEpoch || pd.DevEpoch != w.DevEpoch || pd.TrueEpoch != w.TrueEpoch {
+		t.Errorf("%s lost profiling state: %+v, want the counters of %+v", what, pd, *w)
+	}
+}
+
+// TestMigrateCarriesFullProfile: a migrated page keeps every counter.
+// The PML write count used to be dropped on the way.
+func TestMigrateCarriesFullProfile(t *testing.T) {
+	m := moverMachine(t, 4, 16)
+	touchPages(t, m, 1, 2)
+	oldPFN, _ := m.Table(1).Frame(1)
+	m.Phys.Page(oldPFN).CopyProfile(&fullProfile)
+	mv := NewMover(m)
+	if err := mv.migrate(core.PageKey{PID: 1, VPN: 1}, mem.SlowTier); err != nil {
+		t.Fatal(err)
+	}
+	newPFN, _ := m.Table(1).Frame(1)
+	if newPFN == oldPFN {
+		t.Fatalf("page did not move")
+	}
+	checkFullProfile(t, "migration", m.Phys.Page(newPFN))
+}
+
 func TestMoverPreservesVirtualAddressAndState(t *testing.T) {
 	m := moverMachine(t, 4, 16)
 	touchPages(t, m, 1, 6)
