@@ -105,24 +105,3 @@ func TestMergeSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state Merge allocates %v allocs/op, want 0", allocs)
 	}
 }
-
-// TestSumShardEpochsEqualsConcat pins the shard-aware run aggregate:
-// folding per-shard epoch sequences shard-by-shard must equal
-// SumEpochs on the concatenation in shard order.
-func TestSumShardEpochsEqualsConcat(t *testing.T) {
-	byShard := [][]EpochStats{
-		shardFixture(1, 40, false),
-		shardFixture(2, 30, true),
-		nil,
-		shardFixture(3, 20, false),
-	}
-	var flat []EpochStats
-	for _, s := range byShard {
-		flat = append(flat, s...)
-	}
-	got := SumShardEpochs(byShard)
-	want := SumEpochs(flat)
-	if !reflect.DeepEqual(got.Pages, want.Pages) {
-		t.Fatal("SumShardEpochs diverges from SumEpochs(concat)")
-	}
-}

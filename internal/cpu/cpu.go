@@ -49,11 +49,6 @@ type RetireObserver interface {
 	ObserveRetire(o *trace.Outcome, ops int) int64
 }
 
-// FaultHandler allocates a frame for a faulting (pid, vpn). The
-// default handler implements first-come-first-allocate into the fast
-// tier with spill, the paper's baseline placement.
-type FaultHandler func(pid int, vpn mem.VPN, write bool) (mem.PFN, error)
-
 // HugeHint reports whether a faulting (pid, vpn) belongs to a region
 // the kernel would back with transparent huge pages (HPC heaps in the
 // evaluation). When it returns true the machine attempts a 2 MiB
@@ -83,8 +78,6 @@ type Core struct {
 	PMU   *pmu.PMU
 
 	clock      int64
-	retired    uint64
-	ops        uint64
 	nextSwitch int64 // next context-switch time; 0 disables
 	ctxPeriod  int64
 	machine    *Machine
@@ -96,12 +89,6 @@ type Core struct {
 
 // Now returns the core's virtual clock in ns.
 func (c *Core) Now() int64 { return c.clock }
-
-// Retired returns the count of retired memory references.
-func (c *Core) Retired() uint64 { return c.retired }
-
-// Ops returns the count of retired micro-ops.
-func (c *Core) Ops() uint64 { return c.ops }
 
 // AdvanceClock charges extra virtual time to the core (used by
 // software components running on it: profiler daemons, page movers).
@@ -182,11 +169,9 @@ type Machine struct {
 	// indexed by TierID.
 	readLat, writeLat []int64
 
-	fault     FaultHandler
 	hugeHint  HugeHint
 	poison    PoisonHandler
 	hintFault HintFaultHandler
-	latAdjust func(coreID int, tier mem.TierID, base int64) int64
 	observers []RetireObserver
 
 	// MinorFaults counts demand (first-touch) page faults.
@@ -238,7 +223,6 @@ func NewMachine(cfg Config, tiers []mem.TierSpec) (*Machine, error) {
 		opsPerRef: cfg.OpsPerRef,
 		softDiv:   softDiv,
 	}
-	m.fault = m.defaultFault
 	for t := 0; t < phys.Tiers(); t++ {
 		spec := phys.TierSpecOf(mem.TierID(t))
 		m.readLat = append(m.readLat, spec.ReadLatency)
@@ -280,9 +264,6 @@ func (m *Machine) Cores() []*Core { return m.cores }
 // Core returns core i.
 func (m *Machine) Core(i int) *Core { return m.cores[i] }
 
-// OpsPerRef returns how many micro-ops one reference represents.
-func (m *Machine) OpsPerRef() int { return m.opsPerRef }
-
 // SoftCost compresses a wall-clock software cost into scaled virtual
 // time (minimum 1 ns so no cost fully vanishes).
 func (m *Machine) SoftCost(ns int64) int64 {
@@ -307,16 +288,6 @@ func (m *Machine) Now() int64 {
 	return max
 }
 
-// SetFaultHandler overrides demand-fault placement (nil restores the
-// default first-touch handler).
-func (m *Machine) SetFaultHandler(h FaultHandler) {
-	if h == nil {
-		m.fault = m.defaultFault
-		return
-	}
-	m.fault = h
-}
-
 // SetPoisonHandler installs the BadgerTrap protection-fault handler.
 func (m *Machine) SetPoisonHandler(h PoisonHandler) { m.poison = h }
 
@@ -325,15 +296,6 @@ func (m *Machine) SetHugeHint(h HugeHint) { m.hugeHint = h }
 
 // SetHintFaultHandler installs the AutoNUMA hint-fault handler.
 func (m *Machine) SetHintFaultHandler(h HintFaultHandler) { m.hintFault = h }
-
-// SetLatencyAdjuster installs a per-access memory-latency hook: it
-// receives the executing core, the tier serving the access, and the
-// tier's base latency, and returns the adjusted value. The numa
-// package uses it to charge remote-socket DRAM accesses their
-// interconnect premium.
-func (m *Machine) SetLatencyAdjuster(f func(coreID int, tier mem.TierID, base int64) int64) {
-	m.latAdjust = f
-}
 
 // AddObserver attaches a retirement observer (e.g. an IBS engine).
 func (m *Machine) AddObserver(o RetireObserver) {
@@ -365,12 +327,6 @@ func (m *Machine) CoreFor(pid int) *Core {
 	return m.cores[idx]
 }
 
-// defaultFault implements first-come-first-allocate: fast tier first,
-// spilling to slower tiers when full.
-func (m *Machine) defaultFault(pid int, vpn mem.VPN, write bool) (mem.PFN, error) {
-	return m.Phys.Alloc(mem.FastTier, pid, vpn)
-}
-
 // FlushAllTLBs invalidates every core's TLB and returns the IPI cost a
 // caller should charge (one IPI per remote core). It models a full
 // shootdown as used by the page mover at epoch horizons and by the
@@ -378,15 +334,6 @@ func (m *Machine) defaultFault(pid int, vpn mem.VPN, write bool) (mem.PFN, error
 func (m *Machine) FlushAllTLBs() int64 {
 	for _, c := range m.cores {
 		c.TLB.FlushAll()
-	}
-	return m.SoftCost(int64(len(m.cores)-1) * LatIPI)
-}
-
-// FlushPage invalidates one translation on every core (page-granular
-// shootdown) and returns the IPI cost.
-func (m *Machine) FlushPage(vpn mem.VPN) int64 {
-	for _, c := range m.cores {
-		c.TLB.FlushPage(vpn)
 	}
 	return m.SoftCost(int64(len(m.cores)-1) * LatIPI)
 }
@@ -472,7 +419,7 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table) (*trace.Outcome, err
 		pte, huge := table.Resolve(vpn)
 		if pte == nil {
 			// Demand fault: first touch of the page.
-			faultLat, err := m.handleFault(table, r.PID, vpn, isStore)
+			faultLat, err := m.handleFault(table, r.PID, vpn)
 			if err != nil {
 				return nil, fmt.Errorf("cpu: pid %d fault at vpn %#x: %w", r.PID, uint64(vpn), err)
 			}
@@ -520,9 +467,6 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table) (*trace.Outcome, err
 		if isStore {
 			memLat = m.writeLat[pd.Tier]
 		}
-		if m.latAdjust != nil {
-			memLat = m.latAdjust(c.ID, pd.Tier, memLat)
-		}
 		lat += memLat
 		if pd.Tier == mem.FastTier {
 			o.Source = trace.SrcTier1
@@ -546,8 +490,6 @@ func (c *Core) execute(r trace.Ref, table *pagetable.Table) (*trace.Outcome, err
 	}
 	c.PMU.Add(pmu.EvRetiredOps, uint64(m.opsPerRef))
 
-	c.retired++
-	c.ops += uint64(m.opsPerRef)
 	o.Latency = lat
 	c.clock += lat
 	o.Now = c.clock
@@ -574,9 +516,10 @@ func leafFrame(pte *pagetable.PTE, huge bool, vpn mem.VPN) mem.PFN {
 
 // handleFault services a demand fault: THP-backed regions get a 2 MiB
 // allocation and mapping (falling back to a base page when no
-// contiguous run exists), everything else a base page via the fault
-// handler.
-func (m *Machine) handleFault(table *pagetable.Table, pid int, vpn mem.VPN, write bool) (int64, error) {
+// contiguous run exists), everything else a base page allocated
+// first-come-first-allocate: fast tier first, spilling to slower tiers
+// when full — the paper's baseline placement.
+func (m *Machine) handleFault(table *pagetable.Table, pid int, vpn mem.VPN) (int64, error) {
 	base := vpn - mem.VPN(uint64(vpn)%mem.HugePages)
 	if m.hugeHint != nil && m.hugeHint(pid, vpn) && table.CanMapHuge(base) {
 		pfnBase, err := m.Phys.AllocHuge(mem.FastTier, pid, base)
@@ -590,7 +533,7 @@ func (m *Machine) handleFault(table *pagetable.Table, pid int, vpn mem.VPN, writ
 		// failure (fragmentation or memory pressure); a genuine OOM
 		// will surface from the base-page allocator below.
 	}
-	newPFN, err := m.fault(pid, vpn, write)
+	newPFN, err := m.Phys.Alloc(mem.FastTier, pid, vpn)
 	if err != nil {
 		return 0, err
 	}

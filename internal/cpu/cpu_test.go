@@ -458,8 +458,7 @@ func TestObserverSeesDirtySetOnce(t *testing.T) {
 // TestMemoryMissChargesTierLatencyByKind runs on a three-tier chain
 // with distinct read and write latencies per tier: a load that misses
 // every cache level costs exactly one op plus the serving tier's
-// ReadLatency, a store exactly one op plus its WriteLatency, and the
-// latency adjuster sees that same base value.
+// ReadLatency, a store exactly one op plus its WriteLatency.
 func TestMemoryMissChargesTierLatencyByKind(t *testing.T) {
 	tiers := []mem.TierSpec{
 		{Name: "dram", Frames: 4, ReadLatency: 80, WriteLatency: 90},
@@ -470,15 +469,14 @@ func TestMemoryMissChargesTierLatencyByKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Page p of the process lives in tier p.
-	m.SetFaultHandler(func(pid int, vpn mem.VPN, write bool) (mem.PFN, error) {
-		return m.Phys.Alloc(mem.TierID(vpn%4), pid, vpn)
-	})
-	var seen int64
-	m.SetLatencyAdjuster(func(coreID int, tier mem.TierID, base int64) int64 {
-		seen = base
-		return base
-	})
+	// Pages p and p+4 of the process live in tier p.
+	for _, vpn := range []mem.VPN{0, 1, 2, 4, 5, 6} {
+		pfn, err := m.Phys.Alloc(mem.TierID(vpn%4), 1, vpn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Table(1).Map(vpn, pfn, true)
+	}
 	for tier, spec := range tiers {
 		for _, isStore := range []bool{false, true} {
 			page := uint64(tier) << mem.PageShift
@@ -490,7 +488,7 @@ func TestMemoryMissChargesTierLatencyByKind(t *testing.T) {
 			if isStore {
 				ref, want = store, spec.WriteLatency
 			}
-			// First touch faults and maps; a store leaves the
+			// The first reference walks; a store leaves the
 			// translation dirty, so the second reference, to another
 			// line of the page, hits the TLB without a walk and misses
 			// every cache level.
@@ -504,9 +502,9 @@ func TestMemoryMissChargesTierLatencyByKind(t *testing.T) {
 			if o.TLBMiss || o.PageWalk || o.Source == trace.SrcL1 || o.Source == trace.SrcL2 || o.Source == trace.SrcLLC {
 				t.Fatalf("tier %d store=%v: outcome %+v, want a TLB hit served by memory", tier, isStore, o)
 			}
-			if o.Latency != LatBaseOp+want || seen != want {
-				t.Errorf("tier %d store=%v: latency %d (adjuster saw %d), want %d+%d",
-					tier, isStore, o.Latency, seen, LatBaseOp, want)
+			if o.Latency != LatBaseOp+want {
+				t.Errorf("tier %d store=%v: latency %d, want %d+%d",
+					tier, isStore, o.Latency, LatBaseOp, want)
 			}
 		}
 	}

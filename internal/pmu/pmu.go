@@ -93,9 +93,6 @@ func New(registers int, quantum int64) *PMU {
 	return p
 }
 
-// Registers returns the number of physical counter registers.
-func (p *PMU) Registers() int { return p.registers }
-
 // Track programs an event; tracking more events than registers engages
 // multiplexing. Tracking an already-tracked event is a no-op.
 func (p *PMU) Track(e Event) {

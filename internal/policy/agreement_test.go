@@ -12,7 +12,7 @@ import (
 // agreementStats builds a tie-heavy harvest with every page in the
 // slow tier, so the fast-tier tie preference is neutral and policies
 // that track residency (History via statLess) and policies that do not
-// (Decay, Predictor) are comparable.
+// (Decay) are comparable.
 func agreementStats(n int) core.EpochStats {
 	stats := core.EpochStats{Pages: make([]core.PageStat, 0, n)}
 	for i := 0; i < n; i++ {
@@ -37,8 +37,9 @@ func selectionKeys(sel Selection) map[core.PageKey]bool {
 // TestSelectorsAgreeOnSharedComparator is the cross-package drift
 // guard the shared comparator exists for: with residency and writes
 // neutralized and fresh per-policy state, History, Oracle, Decay
-// (alpha=1 degrades to History), Predictor (first epoch: score is
-// monotone in rank), and WriteBiased (zero writes: score equals rank)
+// (alpha=1 degrades to History; any alpha's first epoch scores
+// alpha·rank, monotone in rank), and WriteBiased (zero writes: score
+// equals rank)
 // must all pick exactly the keys of the full RankedPages prefix.
 func TestSelectorsAgreeOnSharedComparator(t *testing.T) {
 	stats := agreementStats(60)
@@ -56,7 +57,7 @@ func TestSelectorsAgreeOnSharedComparator(t *testing.T) {
 				History{},
 				Oracle{},
 				NewDecay(1.0),
-				NewPredictor(),
+				NewDecay(0.5),
 				WriteBiased{Bias: 2},
 			}
 			for _, p := range policies {
@@ -110,7 +111,7 @@ func TestBoundedSelectionSweepsCapacity(t *testing.T) {
 func TestSelectionDeterminism(t *testing.T) {
 	stats := agreementStats(60)
 	run := func() string {
-		p := NewPredictor()
+		p := NewDecay(0.5)
 		var out string
 		for epoch := 0; epoch < 3; epoch++ {
 			sel := p.Select(stats, core.EpochStats{}, core.MethodCombined, 10)

@@ -79,24 +79,6 @@ func TestMethodSelectsEvidence(t *testing.T) {
 	}
 }
 
-func TestFirstTouchAdmitsInOrderAndSticks(t *testing.T) {
-	ft := NewFirstTouch()
-	ep0 := mkEpoch(0, [][3]uint32{{0, 0, 1}, {0, 0, 1}, {0, 0, 1}})
-	sel := ft.Select(ep0, core.EpochStats{}, core.MethodCombined, 2)
-	if len(sel) != 2 {
-		t.Fatalf("first-touch admitted %d, want 2", len(sel))
-	}
-	// A hotter page arriving later must NOT displace residents.
-	ep1 := mkEpoch(1, [][3]uint32{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}, {9, 9, 99}})
-	sel2 := ft.Select(ep1, core.EpochStats{}, core.MethodCombined, 2)
-	if len(sel2) != 2 {
-		t.Fatalf("capacity violated: %d", len(sel2))
-	}
-	if _, ok := sel2[core.PageKey{PID: 1, VPN: 3}]; ok {
-		t.Errorf("first-touch migrated a page; it must never migrate")
-	}
-}
-
 func TestDecayConvergesAndForgets(t *testing.T) {
 	d := NewDecay(0.5)
 	hotThenCold := mkEpoch(0, [][3]uint32{{8, 8, 8}, {0, 0, 0}})
@@ -183,52 +165,6 @@ func TestCapacityForRatio(t *testing.T) {
 	}
 	if CapacityForRatio(100, 0) != 100 {
 		t.Errorf("ratio 0 not treated as 1")
-	}
-}
-
-func TestPredictorTrustsStablePages(t *testing.T) {
-	p := NewPredictor()
-	// Page 0: steady rank 8. Page 1: oscillates 0/16 (same mean).
-	for i := 0; i < 6; i++ {
-		var osc uint32
-		if i%2 == 1 {
-			osc = 16
-		}
-		ep := mkEpoch(i, [][3]uint32{{8, 0, 8}, {osc, 0, 8}})
-		p.Select(ep, core.EpochStats{}, core.MethodCombined, 1)
-	}
-	// After an epoch where the oscillator read 0, History would pick
-	// page 0 trivially; make the last observation favor the
-	// oscillator (16 > 8) — the predictor should still prefer the
-	// stable page because the oscillator has no confidence.
-	ep := mkEpoch(6, [][3]uint32{{8, 0, 8}, {16, 0, 8}})
-	sel := p.Select(ep, core.EpochStats{}, core.MethodCombined, 1)
-	if _, ok := sel[core.PageKey{PID: 1, VPN: 0}]; !ok {
-		t.Errorf("predictor chose the erratic page over the stable one: %v", keys(sel))
-	}
-}
-
-func TestPredictorForgetsDeadPages(t *testing.T) {
-	p := NewPredictor()
-	hot := mkEpoch(0, [][3]uint32{{9, 0, 9}})
-	for i := 0; i < 3; i++ {
-		p.Select(hot, core.EpochStats{}, core.MethodCombined, 1)
-	}
-	empty := core.EpochStats{}
-	for i := 0; i < 40; i++ {
-		p.Select(empty, core.EpochStats{}, core.MethodCombined, 1)
-	}
-	if p.Tracked() != 0 {
-		t.Errorf("dead page still tracked: %v", p)
-	}
-}
-
-func TestPredictorColdStartMatchesHistoryDirection(t *testing.T) {
-	p := NewPredictor()
-	ep := mkEpoch(0, [][3]uint32{{1, 0, 1}, {7, 0, 1}})
-	sel := p.Select(ep, core.EpochStats{}, core.MethodCombined, 1)
-	if _, ok := sel[core.PageKey{PID: 1, VPN: 1}]; !ok {
-		t.Errorf("cold-start predictor ignored the hotter page")
 	}
 }
 

@@ -175,10 +175,10 @@ type logLine struct {
 	Dev      uint32 `json:"dev"`
 	Rank     uint64 `json:"rank"`
 	Pos      int32  `json:"pos"`
-	Tier     int8   `json:"tier"`
+	Tier     int16  `json:"tier"`
 	Verdict  string `json:"verdict"`
-	From     int8   `json:"from"`
-	To       int8   `json:"to"`
+	From     int16  `json:"from"`
+	To       int16  `json:"to"`
 	Selected bool   `json:"selected"`
 	Degraded bool   `json:"degraded"`
 	Method   string `json:"method"`

@@ -206,12 +206,13 @@ type Record struct {
 	Write uint32
 	Dev   uint32
 	// Tier the page occupied at harvest; -1 when the page was only
-	// seen through a mover action this epoch.
-	Tier int8
+	// seen through a mover action this epoch. Tiers are int16 so every
+	// mem.TierID (up to mem.MaxTiers-1) and the -1 sentinel fit.
+	Tier int16
 	// From/To record the tier transition; -1/-1 when the page did not
 	// move.
-	From int8
-	To   int8
+	From int16
+	To   int16
 	// Verdict and Fail type the outcome; Reason() renders them.
 	Verdict Verdict
 	Fail    FailReason
@@ -225,8 +226,9 @@ type Record struct {
 }
 
 // residencyHist names the per-tier time-in-tier histograms. Constant
-// so counter/histogram names stay static strings; chains are at most
-// four tiers deep (mem.ParseTierChain enforces it).
+// so counter/histogram names stay static strings. Chains may be up to
+// mem.MaxTiers deep, but only tiers 0-2 get a histogram of their own:
+// stays in tier 3 and in every deeper tier fold into _t3.
 var residencyHist = [4]string{
 	"mover/residency_epochs_t0",
 	"mover/residency_epochs_t1",
@@ -247,7 +249,7 @@ type Recorder struct {
 	recs        []Record // stride-lastK ring of decision records
 	n           []uint32 // records ever written (ring occupancy = min(n, lastK))
 	stamp       []int32  // epoch of the page's newest record (-1 = none)
-	curTier     []int8   // tier the recorder last saw the page in (-1 unknown)
+	curTier     []int16  // tier the recorder last saw the page in (-1 unknown)
 	entered     []int32  // epoch the page entered curTier
 	lastPromote []int32  // epoch of the last promotion (-1 = none), for ping-pong
 	lastSel     []int32  // epoch the page was last selected (-2 = never)
@@ -390,16 +392,16 @@ func (r *Recorder) ObserveHarvest(ep core.EpochStats, selected func(core.PageKey
 		ps := &ep.Pages[i]
 		id, rec := r.note(ps.Key)
 		rec.Abit, rec.Trace, rec.Write, rec.Dev = ps.Abit, ps.Trace, ps.Write, ps.Dev
-		rec.Tier = int8(ps.Tier)
+		rec.Tier = int16(ps.Tier)
 		rec.Rank = ps.Rank(r.method)
 		if selected != nil && selected(ps.Key) {
 			rec.Selected = true
 			r.selCur = append(r.selCur, id)
 		}
-		if r.curTier[id] != int8(ps.Tier) {
+		if r.curTier[id] != int16(ps.Tier) {
 			// First sighting (or an allocation-path tier change the
 			// mover never saw): restart the residency clock.
-			r.curTier[id] = int8(ps.Tier)
+			r.curTier[id] = int16(ps.Tier)
 			r.entered[id] = r.curEpoch
 		}
 	}
@@ -422,7 +424,7 @@ func (r *Recorder) NoteMove(key core.PageKey, promote bool, to mem.TierID) {
 	}
 	id, rec := r.note(key)
 	from := r.curTier[id]
-	rec.From, rec.To = from, int8(to)
+	rec.From, rec.To = from, int16(to)
 	if rec.Tier < 0 {
 		rec.Tier = from
 	}
@@ -438,7 +440,7 @@ func (r *Recorder) NoteMove(key core.PageKey, promote bool, to mem.TierID) {
 		}
 		r.hResidency[t].Observe(uint64(r.curEpoch - r.entered[id]))
 	}
-	r.curTier[id] = int8(to)
+	r.curTier[id] = int16(to)
 	r.entered[id] = r.curEpoch
 	if promote {
 		r.lastPromote[id] = r.curEpoch
@@ -527,7 +529,7 @@ func (r *Recorder) FinishEpoch() {
 	if r == nil {
 		return
 	}
-	fast := int8(mem.FastTier)
+	fast := int16(mem.FastTier)
 	for _, id := range r.touched {
 		rec := r.newest(id)
 		if rec.Verdict != VerdictNone {

@@ -201,6 +201,35 @@ func TestResidencyHistogram(t *testing.T) {
 	}
 }
 
+// TestDeepTierMove pins tiers past int8: on a chain deeper than 128
+// tiers a demotion from tier 199 to tier 200 records both tiers
+// exactly, in the Record and through the JSONL log, and the stay in
+// tier 199 folds into the deepest residency histogram.
+func TestDeepTierMove(t *testing.T) {
+	tr := telemetry.New()
+	r := New()
+	r.SetTracer(tr)
+	k := key(1, 0x40)
+	harvest(r, 0, core.PageStat{Key: k, Abit: 1, Tier: 199}, false)
+	r.NoteMove(k, false, 200)
+	r.FinishEpoch()
+
+	rec := *r.newest(0)
+	if int(rec.Tier) != 199 || int(rec.From) != 199 || int(rec.To) != 200 {
+		t.Fatalf("record tier/from/to = %d/%d/%d, want 199/199/200", rec.Tier, rec.From, rec.To)
+	}
+	var buf bytes.Buffer
+	if err := WriteLog(&buf, []Log{r.Snapshot("deep")}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"tier":199,"verdict":"demoted","from":199,"to":200`) {
+		t.Errorf("log line lost the deep tiers:\n%s", buf.String())
+	}
+	if h := tr.Histogram("mover/residency_epochs_t3"); h.Count() != 1 {
+		t.Errorf("t3 residency count = %d, want 1 (tier 199 folds into _t3)", h.Count())
+	}
+}
+
 // TestRankChurn pins the churn metric: entries plus exits of the
 // selected set, relative to the previous epoch.
 func TestRankChurn(t *testing.T) {

@@ -67,24 +67,6 @@ func TestDefaultChainTwoTierIdentity(t *testing.T) {
 	}
 }
 
-// TestChainTwoTierPlacementMatchesLegacy is the differential gate on
-// the placement path: routing the same run through the explicit-chain
-// configuration (cfg.Tiers) must not move a byte relative to the
-// legacy Ratio sizing — unfaulted and under injection.
-func TestChainTwoTierPlacementMatchesLegacy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("placement runs are slow")
-	}
-	for _, spec := range []string{"", "all=0.1"} {
-		legacy := placementDump(placementUnderFaults(t, "gups", 42, spec, 400_000, 16384))
-		chained := placementDump(chainPlacement(t, "gups", 42, spec, 400_000, 16384, 2, core.MethodCombined))
-		if legacy != chained {
-			t.Fatalf("2-tier chain diverged from legacy sizing (spec=%q):\nlegacy:\n%s\nchain:\n%s",
-				spec, legacy, chained)
-		}
-	}
-}
-
 // TestChainPlacementDevprofSmoke checks the device tracker actually
 // drives placement on a deep chain: ranking on device evidence alone
 // still promotes pages, and the run holds every epoch invariant

@@ -131,7 +131,7 @@ func TestGoldenSeedReport(t *testing.T) {
 		t.Fatal("re-derived faulted run diverged from placementUnderFaults")
 	}
 	var b bytes.Buffer
-	for _, row := range FaultAttribution(cfg.Faults, res2) {
+	for _, row := range MergedFaultAttribution([]*fault.Plane{cfg.Faults}, res2) {
 		b.WriteString(row.Name)
 		b.WriteString("=")
 		b.WriteString(uitoa(row.Value))

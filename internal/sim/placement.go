@@ -10,7 +10,6 @@ import (
 	"tieredmem/internal/mem"
 	"tieredmem/internal/policy"
 	"tieredmem/internal/provenance"
-	"tieredmem/internal/report"
 	"tieredmem/internal/telemetry"
 	"tieredmem/internal/workload"
 )
@@ -157,14 +156,6 @@ func (r PlacementResult) Hitrate() float64 {
 		return 0
 	}
 	return float64(r.Tier1Hits) / float64(r.MemAccesses)
-}
-
-// FaultAttribution assembles the fault-attribution section for one
-// placement run: per-site injection counts from the plane, then the
-// mover's reason-partitioned failures and retry-queue outcomes, in a
-// fixed order so the rendered report is deterministic.
-func FaultAttribution(p *fault.Plane, res PlacementResult) []report.FaultRow {
-	return MergedFaultAttribution([]*fault.Plane{p}, res)
 }
 
 // RunPlacement executes an end-to-end tiered run and returns its

@@ -78,15 +78,6 @@ type ShardedResult struct {
 	Planes []*fault.Plane
 }
 
-// FaultsInjectedTotal sums injections across the cells' planes.
-func (r ShardedResult) FaultsInjectedTotal() uint64 {
-	var total uint64
-	for _, p := range r.Planes {
-		total += p.TotalInjected()
-	}
-	return total
-}
-
 // shardTiers carves a whole-machine tier sizing into one cell's share:
 // every tier keeps 1/cells of its frames plus the huge-fault slack
 // (the same slack rule the whole-machine sizing applies once). nil in,
@@ -374,9 +365,12 @@ func RunShardedPlacement(scfg ShardedPlacementConfig, mk func() workload.Workloa
 	return sres, nil
 }
 
-// MergedFaultAttribution is FaultAttribution over a sharded run's
-// per-cell planes: per-site injections sum in cell order, the
-// mover/quarantine rows come from the fused result.
+// MergedFaultAttribution assembles the fault-attribution section of a
+// placement run from its fault planes (one per cell; one for an
+// unsharded run): per-site injections summed in cell order, then the
+// mover's reason-partitioned failures and retry-queue outcomes from
+// the (fused) result, in a fixed order so the rendered report is
+// deterministic.
 func MergedFaultAttribution(planes []*fault.Plane, res PlacementResult) []report.FaultRow {
 	rows := make([]report.FaultRow, 0, 16)
 	for _, s := range fault.Sites() {

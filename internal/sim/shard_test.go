@@ -114,7 +114,11 @@ func TestShardedChaosIdenticalAcrossWidths(t *testing.T) {
 	if a, b := telemetryDump(t, seq.Telemetry), telemetryDump(t, par.Telemetry); a != b {
 		t.Fatal("faulted -shards 1 vs -shards 8 telemetry diverged")
 	}
-	if seq.FaultsInjectedTotal() == 0 {
+	var injected uint64
+	for _, p := range seq.Planes {
+		injected += p.TotalInjected()
+	}
+	if injected == 0 {
 		t.Fatal("all=0.1 injected nothing; the chaos arm is vacuous")
 	}
 }
@@ -294,7 +298,7 @@ func TestShardedRejectsCombined(t *testing.T) {
 	mkc := func() workload.Workload {
 		a := workload.MustNew("gups", workload.Config{Seed: 42, FirstPID: 100})
 		b := workload.MustNew("web-serving", workload.Config{Seed: 42, FirstPID: 200})
-		c, err := workload.Combine(a, b)
+		c, err := workload.CombineWeighted([]workload.Workload{a, b}, []int{1, 1})
 		if err != nil {
 			panic(err)
 		}

@@ -24,20 +24,11 @@ type combined struct {
 	hugeAgg []VRange
 }
 
-// Combine interleaves workloads with equal shares.
-func Combine(parts ...Workload) (Workload, error) {
-	shares := make([]int, len(parts))
-	for i := range shares {
-		shares[i] = 1
-	}
-	return CombineWeighted(parts, shares)
-}
-
 // CombineWeighted interleaves workloads with explicit shares. PID sets
 // must be disjoint.
 func CombineWeighted(parts []Workload, shares []int) (Workload, error) {
 	if len(parts) == 0 {
-		return nil, fmt.Errorf("workload: Combine needs at least one workload")
+		return nil, fmt.Errorf("workload: CombineWeighted needs at least one workload")
 	}
 	if len(shares) != len(parts) {
 		return nil, fmt.Errorf("workload: %d shares for %d workloads", len(shares), len(parts))

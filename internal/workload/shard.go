@@ -29,7 +29,7 @@ type sliceable interface{ mux() *multiplex }
 // Slice mutates and returns w's own generator state (processes carry
 // live RNGs), so the caller must pass a freshly constructed instance
 // and must not use w afterwards. Workloads without a round-robin
-// interleave (Combine/CombineWeighted) are rejected.
+// interleave (CombineWeighted) are rejected.
 func Slice(w Workload, cell, cores int) (Workload, error) {
 	if cores < 1 || cell < 0 || cell >= cores {
 		return nil, fmt.Errorf("workload: bad slice cell %d of %d cores", cell, cores)

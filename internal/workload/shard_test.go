@@ -122,7 +122,7 @@ func TestSliceRejectsCombined(t *testing.T) {
 	cfg2 := cfg
 	cfg2.FirstPID = cfg.FirstPID + 64
 	b := MustNew("web-serving", cfg2)
-	c, err := Combine(a, b)
+	c, err := CombineWeighted([]Workload{a, b}, []int{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

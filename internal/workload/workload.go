@@ -14,7 +14,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"tieredmem/internal/mem"
 	"tieredmem/internal/trace"
@@ -264,26 +263,4 @@ func MustNew(name string, cfg Config) Workload {
 		panic(err)
 	}
 	return w
-}
-
-// All builds every Table III workload with the same config, in
-// presentation order.
-func All(cfg Config) []Workload {
-	out := make([]Workload, 0, len(Names))
-	first := cfg.FirstPID
-	for i, n := range Names {
-		c := cfg
-		c.FirstPID = first + i*64 // keep PID ranges disjoint
-		out = append(out, MustNew(n, c))
-	}
-	return out
-}
-
-// sortedCopy returns a sorted copy of xs (used by generators building
-// lookup grids).
-func sortedCopy(xs []uint64) []uint64 {
-	out := make([]uint64, len(xs))
-	copy(out, xs)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -262,13 +262,16 @@ func TestPhaseShiftMovesHotSet(t *testing.T) {
 	}
 }
 
+// TestAllAssignsDisjointPIDs builds every workload with FirstPID
+// ranges 64 apart and requires their PID sets to be disjoint: no
+// generator spans 64 PIDs.
 func TestAllAssignsDisjointPIDs(t *testing.T) {
-	ws := All(DefaultConfig())
-	if len(ws) != len(Names) {
-		t.Fatalf("All built %d workloads", len(ws))
-	}
+	cfg := DefaultConfig()
 	seen := map[int]string{}
-	for _, w := range ws {
+	for i, n := range Names {
+		c := cfg
+		c.FirstPID = cfg.FirstPID + i*64
+		w := MustNew(n, c)
 		for _, pid := range w.Processes() {
 			if prev, ok := seen[pid]; ok {
 				t.Fatalf("pid %d shared by %s and %s", pid, prev, w.Name())
@@ -317,7 +320,7 @@ func TestCombineInterleavesByShare(t *testing.T) {
 func TestCombineAggregatesMetadata(t *testing.T) {
 	a := MustNew("gups", Config{Seed: 1, FirstPID: 100})
 	b := MustNew("web-serving", Config{Seed: 1, FirstPID: 300})
-	w, err := Combine(a, b)
+	w, err := CombineWeighted([]Workload{a, b}, []int{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +341,7 @@ func TestCombineAggregatesMetadata(t *testing.T) {
 func TestCombineRejectsPIDCollisions(t *testing.T) {
 	a := MustNew("gups", Config{Seed: 1, FirstPID: 100})
 	b := MustNew("web-serving", Config{Seed: 1, FirstPID: 100})
-	if _, err := Combine(a, b); err == nil {
+	if _, err := CombineWeighted([]Workload{a, b}, []int{1, 1}); err == nil {
 		t.Errorf("overlapping PIDs accepted")
 	}
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# check.sh — the repo gate: build, vet, format, tmplint, race tests.
+# check.sh — the repo gate: build, vet, format, tmplint, race tests;
+# then it prints the tree-size metric (scripts/goloc.sh), which gates nothing.
 # Every PR must pass this; CI runs it on push and pull_request.
 set -euo pipefail
 
@@ -33,5 +34,8 @@ echo "==> go test -race -shuffle=on ./..."
 # sibling-test side effects, matching the determinism contract's
 # "every cell is a pure function of its config" rule.
 go test -race -shuffle=on -timeout 15m ./...
+
+echo "==> non-test Go lines (scripts/goloc.sh; informational)"
+scripts/goloc.sh
 
 echo "All checks passed."
